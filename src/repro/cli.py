@@ -16,7 +16,7 @@ Commands:
   drives per-request sample→fetch→aggregate through admission control,
   priority load shedding, per-device circuit breakers, hedged reads and
   brownout degradation (``--no-protection`` disables all five layers;
-  ``-o out.json`` writes the schema-v11 serving export).
+  ``-o out.json`` writes the serving export).
 * ``trace`` — render a saved Chrome-trace JSON as an ASCII timeline;
   ``--request <id>`` renders one request's causal chain instead
   (``--request list`` enumerates the stamped trace ids).
@@ -25,46 +25,47 @@ Commands:
   refreshing).
 * ``profile`` — run a bench experiment under the simulator
   self-profiler and report wall-clock seconds per modeled subsystem vs
-  modeled time (ROADMAP item 4; feeds ``BENCH_sim_overhead.json``).
+  modeled time (feeds ``BENCH_sim_overhead.json``).
 * ``ssd-model`` — print the Eq. 2-3 bandwidth model for an SSD.
 * ``scrub`` — sweep a workload's feature pages against their digests,
   repairing storm-poisoned pages from the ground-truth store.
 * ``faults validate`` — parse a FaultPlan JSON, cross-check its event
-  windows against a planned iteration count and summarize it per device
-  (exit 0 when valid, 2 when not).
+  windows against a planned iteration count and summarize it per device.
 * ``analyze`` — bottleneck attribution for a saved report JSON:
   per-resource achieved-vs-peak utilization, a roofline-style verdict
   naming the binding bottleneck, and the Eq. 2-3 what-if table.
 * ``compare`` — regression gate between two report JSONs (or one report
   and a run history's noise band): per-metric deltas and a
-  regression/improvement/neutral verdict.  Exit 0 on neutral or
-  improvement, 3 on regression, 2 on malformed input.
+  regression/improvement/neutral verdict.
 * ``history record`` / ``history list`` — append report summaries to the
   local JSONL run history (keyed by config fingerprint + git revision)
   and inspect the recorded trends.
 
-Analysis subcommands share exit-code conventions: 0 success, 1 runtime
-error, 2 malformed/unsupported input, and 3 (``compare`` only) a
-regression verdict.
+Every command follows one exit-code convention: 0 success; 1 a runtime
+failure (an unreadable trace or snapshot stream in ``trace``/``top``, a
+violated ``fleet`` invariant); 2 bad input or any
+:class:`~repro.errors.ReproError`, reported as one ``error: ...`` line
+on stderr; 3 a ``compare`` regression verdict.
 
-``run`` and ``train`` accept ``--verify-reads off|sample|full`` and
-``--scrub-iops N`` to enable the integrity layer (digest verification of
-storage-served pages, bounded re-read repair, quarantine and background
-scrubbing); a malformed ``--fault-plan`` file exits with status 2 and a
-one-line message.
+The five workload commands (``run``, ``train``, ``serve``, ``fleet``,
+``fullgraph``) share their wiring: one :class:`_RunSession` is built
+from the common flags and one :meth:`_RunSession.finish` step closes
+every run.  ``run`` and ``train`` accept ``--verify-reads
+off|sample|full`` and ``--scrub-iops N`` to enable the integrity layer
+(digest verification of storage-served pages, bounded re-read repair,
+quarantine and background scrubbing).
 
-``run`` and ``train`` accept ``--trace out.json`` (plus ``--trace-detail
-stage|request``) to record the run's modeled-time telemetry as a Chrome
-trace-event file, loadable in ``chrome://tracing`` / Perfetto or rendered
-with the ``trace`` subcommand, and ``--alerts rules.json`` to evaluate
-declarative SLO rules against the finished run (fired rules print to
-stderr, land in the JSON export's ``alerts`` block and — when tracing —
-as instants on the ``alerts`` track).  ``repro --version`` prints the
-package version.
+Every workload command accepts ``--trace out.json`` (plus
+``--trace-detail stage|request``) to record the run's modeled-time
+telemetry as a Chrome trace-event file, loadable in ``chrome://tracing``
+/ Perfetto or rendered with the ``trace`` subcommand; ``run``, ``train``
+and ``serve`` accept ``--alerts rules.json`` to evaluate declarative SLO
+rules against the finished run (fired rules print to stderr, land in the
+JSON export's ``alerts`` block and — when tracing — as instants on the
+``alerts`` track).  ``repro --version`` prints the package version.
 
-The mission-control flags ride every workload command (``run``,
-``train``, ``serve``, ``fleet``, ``fullgraph``): ``--trace-cap N``
-bounds recorded events (drops are counted in
+The mission-control flags ride every workload command too: ``--trace-cap
+N`` bounds recorded events (drops are counted in
 ``telemetry.dropped_events``), ``--stream snap.jsonl`` /
 ``--prom metrics.prom`` / ``--snapshot-every S`` emit live modeled-time
 metric snapshots, and ``--blackbox box.json`` dumps the flight
@@ -75,10 +76,14 @@ a violated fleet invariant.  See ``docs/OBSERVABILITY.md``.
 from __future__ import annotations
 
 import argparse
+import functools
+import json
+import os
 import sys
 
 from .bench.tables import render_table
 from .config import INTEL_OPTANE, SAMSUNG_980PRO, SSDSpec
+from .errors import ConfigError, ReproError
 from .utils import package_version
 
 _SSDS: dict[str, SSDSpec] = {
@@ -108,30 +113,67 @@ _EXPERIMENTS = {
 }
 
 
-def _add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
+def _add_workload_args(
+    parser: argparse.ArgumentParser,
+    *,
+    dataset: str = "IGB-tiny",
+    scale: float | None,
+    ssd: str | None = "optane",
+    num_ssds: int | None = 1,
+    fault_plan_help: str,
+) -> None:
+    """Add the workload flags with this command's defaults.
+
+    ``ssd`` / ``num_ssds`` of ``None`` leave that flag out.
+    """
+    parser.add_argument("--dataset", default=dataset)
     parser.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        help="enable crash-safe supervised training: write snapshots to "
-        "DIR and restart from the latest valid one after a crash",
+        "--scale",
+        type=float,
+        default=scale,
+        help="dataset shrink factor (default: "
+        f"{'per-dataset' if scale is None else scale})",
     )
+    if ssd is not None:
+        parser.add_argument("--ssd", choices=sorted(_SSDS), default=ssd)
+    if num_ssds is not None:
+        parser.add_argument("--num-ssds", type=int, default=num_ssds)
     parser.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=10,
-        metavar="N",
-        help="snapshot cadence in completed iterations (default: 10)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="continue from snapshots already in --checkpoint-dir instead "
-        "of starting fresh",
+        "--fault-plan", metavar="JSON_PATH", default=None, help=fault_plan_help
     )
 
 
-def _add_trace_args(parser: argparse.ArgumentParser) -> None:
+def _add_session_args(
+    parser: argparse.ArgumentParser,
+    *,
+    checkpoint: bool = False,
+    integrity: bool = False,
+    alerts: bool = False,
+) -> None:
+    """Add the flags a :class:`_RunSession` reads: telemetry, live metrics,
+    the flight recorder and storage HA, plus checkpointing, integrity and
+    SLO alerts on the commands that support them."""
+    if checkpoint:
+        parser.add_argument(
+            "--checkpoint-dir",
+            metavar="DIR",
+            default=None,
+            help="enable crash-safe supervised training: write snapshots "
+            "to DIR and restart from the latest valid one after a crash",
+        )
+        parser.add_argument(
+            "--checkpoint-every",
+            type=int,
+            default=10,
+            metavar="N",
+            help="snapshot cadence in completed iterations (default: 10)",
+        )
+        parser.add_argument(
+            "--resume",
+            action="store_true",
+            help="continue from snapshots already in --checkpoint-dir "
+            "instead of starting fresh",
+        )
     parser.add_argument(
         "--trace",
         metavar="JSON_PATH",
@@ -156,9 +198,6 @@ def _add_trace_args(parser: argparse.ArgumentParser) -> None:
         "past the cap are dropped and counted in the "
         "'telemetry.dropped_events' metric",
     )
-
-
-def _add_stream_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--stream",
         metavar="JSONL_PATH",
@@ -188,24 +227,41 @@ def _add_stream_args(parser: argparse.ArgumentParser) -> None:
         "recent telemetry and dump it to this file on a simulated crash, "
         "an SLO breach, or an invariant violation",
     )
+    if integrity:
+        parser.add_argument(
+            "--verify-reads",
+            choices=["off", "sample", "full"],
+            default="off",
+            help="verify storage-served pages against their digests: 'off' "
+            "(default; corrupt bytes flow through), 'sample' (a seeded "
+            "fraction of pages), or 'full' (every page)",
+        )
+        parser.add_argument(
+            "--scrub-iops",
+            type=float,
+            default=0.0,
+            metavar="N",
+            help="page reads per modeled second granted to the background "
+            "scrubber (default: 0, disabled)",
+        )
+    _add_ha_args(parser)
+    if alerts:
+        parser.add_argument(
+            "--alerts",
+            metavar="RULES_JSON",
+            default=None,
+            help="evaluate declarative SLO alert rules against the finished "
+            "run (fired rules print to stderr and land in the JSON "
+            "export's 'alerts' block)",
+        )
 
 
-def _add_integrity_args(parser: argparse.ArgumentParser) -> None:
+def _add_output_args(parser: argparse.ArgumentParser) -> None:
+    """Add ``--format table|json`` and ``-o/--output``."""
+    parser.add_argument("--format", choices=["table", "json"], default="table")
     parser.add_argument(
-        "--verify-reads",
-        choices=["off", "sample", "full"],
-        default="off",
-        help="verify storage-served pages against their digests: 'off' "
-        "(default; corrupt bytes flow through), 'sample' (a seeded "
-        "fraction of pages), or 'full' (every page)",
-    )
-    parser.add_argument(
-        "--scrub-iops",
-        type=float,
-        default=0.0,
-        metavar="N",
-        help="page reads per modeled second granted to the background "
-        "scrubber (default: 0, disabled)",
+        "-o", "--output", metavar="JSON_PATH", default=None,
+        help="also write the JSON run export to this file",
     )
 
 
@@ -227,90 +283,6 @@ def _wants_telemetry(args: argparse.Namespace) -> bool:
         getattr(args, flag, None) is not None
         for flag in ("trace", "stream", "prom", "blackbox")
     )
-
-
-def _make_tracer(args: argparse.Namespace):
-    """Build the tracer behind ``--trace``/``--stream``/``--prom``/
-    ``--blackbox``, or ``None`` when no telemetry surface is requested.
-
-    Streaming and the flight recorder ride the tracer's metrics registry
-    and event feed, so any of the four flags brings the tracer up; only
-    ``--trace`` additionally writes the Chrome trace file at run end.
-    """
-    if not _wants_telemetry(args):
-        return None
-    from .telemetry import Tracer
-
-    kwargs = {}
-    cap = getattr(args, "trace_cap", None)
-    if cap is not None:
-        kwargs["max_events"] = cap
-    return Tracer(
-        enabled=True,
-        detail=args.trace_detail,
-        strict_tracks=True,
-        **kwargs,
-    )
-
-
-def _make_flight(args: argparse.Namespace, tracer):
-    """Arm the flight recorder behind ``--blackbox`` (needs a tracer)."""
-    if tracer is None or getattr(args, "blackbox", None) is None:
-        return None
-    from .telemetry import FlightRecorder
-
-    flight = FlightRecorder()
-    tracer.attach_flight(flight)
-    return flight
-
-
-def _make_snapshotter(args: argparse.Namespace, tracer, source, flight=None):
-    """Build the live-metrics snapshotter behind ``--stream``/``--prom``."""
-    stream = getattr(args, "stream", None)
-    prom = getattr(args, "prom", None)
-    if tracer is None or (stream is None and prom is None):
-        return None
-    if args.snapshot_every <= 0:
-        print("error: --snapshot-every must be positive", file=sys.stderr)
-        raise SystemExit(2)
-    from .telemetry import MetricsSnapshotter
-
-    return MetricsSnapshotter(
-        tracer.metrics,
-        every_s=args.snapshot_every,
-        jsonl_path=stream,
-        prom_path=prom,
-        source=source,
-        flight=flight,
-    )
-
-
-def _finish_snapshots(snapshotter, tracer) -> None:
-    """Take one final snapshot so the stream reflects the finished run."""
-    if snapshotter is not None and tracer is not None:
-        last = snapshotter.last_taken_s
-        snapshotter.take(max(tracer.clock_s, last if last is not None else 0.0))
-
-
-def _breach_blackbox(args, flight, alerts_block, at_s: float) -> None:
-    """Dump the flight recorder when SLO rules fired (``--blackbox``)."""
-    if flight is None or alerts_block is None or alerts_block["ok"]:
-        return
-    names = [f["name"] for f in alerts_block["fired"]]
-    flight.dump(
-        args.blackbox,
-        trigger=f"slo breach: {', '.join(names)}",
-        at_s=at_s,
-        context={"fired_rules": names},
-    )
-    print(f"wrote flight-recorder dump to {args.blackbox}", file=sys.stderr)
-
-
-def _write_trace(tracer, path: str) -> None:
-    from .telemetry import write_chrome_trace
-
-    events = write_chrome_trace(tracer, path)
-    print(f"wrote {events} trace events to {path}", file=sys.stderr)
 
 
 def _add_ha_args(parser: argparse.ArgumentParser) -> None:
@@ -362,17 +334,6 @@ def _ha_kwargs(args: argparse.Namespace) -> dict:
     }
 
 
-def _add_alerts_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--alerts",
-        metavar="RULES_JSON",
-        default=None,
-        help="evaluate declarative SLO alert rules against the finished "
-        "run (fired rules print to stderr and land in the JSON export's "
-        "'alerts' block)",
-    )
-
-
 def _load_alert_rules(path: str):
     """Load ``--alerts`` rules or exit 2 with a one-line message."""
     from .errors import ObservatoryError
@@ -416,8 +377,6 @@ def _load_report(path: str, loader: str | None = None) -> dict:
     loader); ``loader`` selects one entry from such a file.  A single
     report object passes through unchanged.
     """
-    import json
-
     from .errors import ObservatoryError
     from .observatory import validate_summary
 
@@ -479,11 +438,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("datasets", help="list the dataset registry")
 
     run = sub.add_parser("run", help="compare dataloaders on a workload")
-    run.add_argument("--dataset", default="IGB-Full")
-    run.add_argument("--scale", type=float, default=None,
-                     help="dataset shrink factor (default: per-dataset)")
-    run.add_argument("--ssd", choices=sorted(_SSDS), default="optane")
-    run.add_argument("--num-ssds", type=int, default=1)
+    _add_workload_args(
+        run, dataset="IGB-Full", scale=None,
+        fault_plan_help="inject storage faults from a FaultPlan JSON file "
+        "(read failures, tail spikes, device dropout, PCIe degradation, "
+        "simulated process crashes)",
+    )
     run.add_argument(
         "--loader",
         choices=["gids", "bam", "mmap", "ginex", "all"],
@@ -492,54 +452,33 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--iterations", type=int, default=40)
     run.add_argument("--format", choices=["table", "json", "csv"],
                      default="table")
-    run.add_argument(
-        "--fault-plan",
-        metavar="JSON_PATH",
-        default=None,
-        help="inject storage faults from a FaultPlan JSON file "
-        "(read failures, tail spikes, device dropout, PCIe degradation, "
-        "simulated process crashes)",
-    )
-    _add_checkpoint_args(run)
-    _add_trace_args(run)
-    _add_stream_args(run)
-    _add_integrity_args(run)
-    _add_ha_args(run)
-    _add_alerts_arg(run)
+    _add_session_args(run, checkpoint=True, integrity=True, alerts=True)
 
     figure = sub.add_parser("figure", help="regenerate one paper figure")
     figure.add_argument("name", choices=sorted(_EXPERIMENTS))
 
     train = sub.add_parser("train", help="functional GraphSAGE training")
-    train.add_argument("--dataset", default="IGB-tiny")
-    train.add_argument("--scale", type=float, default=0.1)
+    _add_workload_args(
+        train, scale=0.1, ssd=None, num_ssds=None,
+        fault_plan_help="inject storage faults / crash events from a "
+        "FaultPlan JSON file",
+    )
     train.add_argument("--iterations", type=int, default=60)
     train.add_argument("--classes", type=int, default=8)
     train.add_argument("--hidden-dim", type=int, default=64)
     train.add_argument("--batch-size", type=int, default=256)
-    train.add_argument(
-        "--fault-plan",
-        metavar="JSON_PATH",
-        default=None,
-        help="inject storage faults / crash events from a FaultPlan JSON "
-        "file",
-    )
-    _add_checkpoint_args(train)
-    _add_trace_args(train)
-    _add_stream_args(train)
-    _add_integrity_args(train)
-    _add_ha_args(train)
-    _add_alerts_arg(train)
+    _add_session_args(train, checkpoint=True, integrity=True, alerts=True)
 
     fleet = sub.add_parser(
         "fleet",
         help="elastic multi-GPU sharded training in modeled time",
     )
-    fleet.add_argument("--dataset", default="IGB-tiny")
-    fleet.add_argument("--scale", type=float, default=0.05,
-                       help="dataset shrink factor (default: 0.05)")
-    fleet.add_argument("--ssd", choices=sorted(_SSDS), default="optane")
-    fleet.add_argument("--num-ssds", type=int, default=1)
+    _add_workload_args(
+        fleet, scale=0.05,
+        fault_plan_help="FaultPlan JSON; its worker events (gpu:<k> "
+        "dropout/recovery/straggle) drive fleet elasticity, its device "
+        "events degrade the shared SSD array",
+    )
     fleet.add_argument("--gpus", type=int, default=4,
                        help="data-parallel width (default: 4)")
     fleet.add_argument("--batch-size", type=int, default=32)
@@ -555,37 +494,24 @@ def build_parser() -> argparse.ArgumentParser:
         "shared SSD array: the contention baseline)",
     )
     fleet.add_argument(
-        "--fault-plan", metavar="JSON_PATH", default=None,
-        help="FaultPlan JSON; its worker events (gpu:<k> "
-        "dropout/recovery/straggle) drive fleet elasticity, its device "
-        "events degrade the shared SSD array",
-    )
-    fleet.add_argument(
         "--chaos", action="store_true",
         help="sweep the chaos scenarios (dropout, straggler, storm...) "
         "and assert the fleet invariants instead of one epoch",
     )
-    _add_trace_args(fleet)
-    _add_stream_args(fleet)
-    _add_ha_args(fleet)
-    fleet.add_argument("--format", choices=["table", "json"],
-                       default="table")
-    fleet.add_argument(
-        "-o", "--output", metavar="JSON_PATH", default=None,
-        help="also write the schema-v11 run export (with the fleet block) "
-        "to this file",
-    )
+    _add_session_args(fleet)
+    _add_output_args(fleet)
 
     fullgraph = sub.add_parser(
         "fullgraph",
         help="full-graph training as partition sweeps with activation "
         "offload",
     )
-    fullgraph.add_argument("--dataset", default="IGB-tiny")
-    fullgraph.add_argument("--scale", type=float, default=0.01,
-                           help="dataset shrink factor (default: 0.01)")
-    fullgraph.add_argument("--ssd", choices=sorted(_SSDS), default="980pro")
-    fullgraph.add_argument("--num-ssds", type=int, default=1)
+    _add_workload_args(
+        fullgraph, scale=0.01, ssd="980pro",
+        fault_plan_help="inject storage faults from a FaultPlan JSON file; "
+        "spill pages ride the same failure/retry/corruption process as "
+        "feature pages",
+    )
     fullgraph.add_argument("--epochs", type=int, default=5,
                            help="sweep epochs to run (default: 5)")
     fullgraph.add_argument(
@@ -620,37 +546,22 @@ def build_parser() -> argparse.ArgumentParser:
         "drills; pair with --checkpoint-dir)",
     )
     fullgraph.add_argument(
-        "--fault-plan", metavar="JSON_PATH", default=None,
-        help="inject storage faults from a FaultPlan JSON file; spill "
-        "pages ride the same failure/retry/corruption process as feature "
-        "pages",
-    )
-    _add_checkpoint_args(fullgraph)
-    _add_trace_args(fullgraph)
-    _add_stream_args(fullgraph)
-    fullgraph.add_argument(
         "--verify-reads", choices=["off", "sample", "full"], default="off",
         help="verify reloaded spill pages against their digests: 'off' "
         "(default), 'sample', or 'full'",
     )
-    _add_ha_args(fullgraph)
-    fullgraph.add_argument("--format", choices=["table", "json"],
-                           default="table")
-    fullgraph.add_argument(
-        "-o", "--output", metavar="JSON_PATH", default=None,
-        help="also write the schema-v11 run export (with the fullgraph "
-        "block) to this file",
-    )
+    _add_session_args(fullgraph, checkpoint=True)
+    _add_output_args(fullgraph)
 
     serve = sub.add_parser(
         "serve",
         help="overload-protected online inference in modeled time",
     )
-    serve.add_argument("--dataset", default="IGB-tiny")
-    serve.add_argument("--scale", type=float, default=0.1,
-                       help="dataset shrink factor (default: 0.1)")
-    serve.add_argument("--ssd", choices=sorted(_SSDS), default="optane")
-    serve.add_argument("--num-ssds", type=int, default=1)
+    _add_workload_args(
+        serve, scale=0.1,
+        fault_plan_help="inject storage faults from a FaultPlan JSON file "
+        "(device dropouts exercise the per-device circuit breakers)",
+    )
     serve.add_argument("--requests", type=int, default=2000,
                        help="arrivals to generate (default: 2000)")
     serve.add_argument(
@@ -677,38 +588,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable every protection layer (shows the unprotected "
         "latency collapse past saturation)",
     )
-    serve.add_argument(
-        "--fault-plan", metavar="JSON_PATH", default=None,
-        help="inject storage faults from a FaultPlan JSON file (device "
-        "dropouts exercise the per-device circuit breakers)",
-    )
-    _add_ha_args(serve)
-    serve.add_argument("--format", choices=["table", "json"],
-                       default="table")
-    serve.add_argument(
-        "-o", "--output", metavar="JSON_PATH", default=None,
-        help="also write the schema-v11 serving export to this file",
-    )
-    _add_trace_args(serve)
-    _add_stream_args(serve)
-    _add_alerts_arg(serve)
+    _add_session_args(serve, alerts=True)
+    _add_output_args(serve)
 
     scrub = sub.add_parser(
         "scrub",
         help="sweep a workload's feature pages against their digests",
     )
-    scrub.add_argument("--dataset", default="IGB-tiny")
-    scrub.add_argument("--scale", type=float, default=0.1,
-                       help="dataset shrink factor (default: 0.1)")
-    scrub.add_argument("--num-ssds", type=int, default=1)
+    _add_workload_args(
+        scrub, scale=0.1, ssd=None,
+        fault_plan_help="FaultPlan JSON whose corruption storms poison the "
+        "media; omitted means a clean sweep",
+    )
     scrub.add_argument(
         "--scrub-iops", type=float, default=1e6, metavar="N",
         help="page reads per modeled second for the sweep (default: 1e6)",
-    )
-    scrub.add_argument(
-        "--fault-plan", metavar="JSON_PATH", default=None,
-        help="FaultPlan JSON whose corruption storms poison the media; "
-        "omitted means a clean sweep",
     )
     scrub.add_argument(
         "--at-time", type=float, default=None, metavar="SECONDS",
@@ -745,15 +639,10 @@ def build_parser() -> argparse.ArgumentParser:
         "storage",
         help="storage-HA drill: device health and rebuild report",
     )
-    storage.add_argument("--dataset", default="IGB-tiny")
-    storage.add_argument("--scale", type=float, default=0.05,
-                         help="dataset shrink factor (default: 0.05)")
-    storage.add_argument("--ssd", choices=sorted(_SSDS), default="optane")
-    storage.add_argument("--num-ssds", type=int, default=4)
-    storage.add_argument(
-        "--fault-plan", metavar="JSON_PATH", default=None,
-        help="FaultPlan JSON whose device events (dropout / recovery / "
-        "fail_slow) drive the health state machine",
+    _add_workload_args(
+        storage, scale=0.05, num_ssds=4,
+        fault_plan_help="FaultPlan JSON whose device events (dropout / "
+        "recovery / fail_slow) drive the health state machine",
     )
     storage.add_argument(
         "--duration", type=float, default=1.0, metavar="SECONDS",
@@ -967,7 +856,204 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_datasets() -> int:
+def _ha_block(owner) -> dict | None:
+    """The ``storage_ha`` export block of a loader, trainer or server."""
+    if owner.storage_ha is None:
+        return None
+    return owner.storage_ha.summary_block()
+
+
+def _dump_json(doc) -> str:
+    """The CLI's JSON rendering: indented, key-sorted and strict (a
+    non-finite float raises instead of emitting invalid JSON)."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _emit_json(args: argparse.Namespace, doc) -> None:
+    """Write ``doc`` to ``-o`` and print it under ``--format json``; a
+    list prints as one array of documents."""
+    output = getattr(args, "output", None)
+    if output is not None:
+        with open(output, "w", encoding="utf-8") as handle:
+            handle.write(_dump_json(doc))
+    if args.format == "json" and isinstance(doc, list):
+        print("[" + ",\n".join(_dump_json(d) for d in doc) + "]")
+    elif args.format == "json":
+        print(_dump_json(doc))
+
+
+class _RunSession:
+    """The wiring every workload command builds from its shared flags.
+
+    Loads the fault plan and SLO alert rules, validates the storage-HA
+    flags, and brings up the tracer behind ``--trace``/``--stream``/
+    ``--prom``/``--blackbox`` with its flight recorder and metrics
+    snapshotter (streaming and the flight recorder ride the tracer's
+    registry and event feed, so any of the four flags starts it).  The
+    workload and its system are built on first use.  :meth:`finish`
+    closes every run the same way.
+    """
+
+    def __init__(self, args: argparse.Namespace) -> None:
+        self.args = args
+        self.fault_plan = None
+        if args.fault_plan is not None:
+            self.fault_plan = _load_fault_plan(args.fault_plan)
+        self.alert_rules = None
+        if getattr(args, "alerts", None) is not None:
+            self.alert_rules = _load_alert_rules(args.alerts)
+        self.ha = _ha_kwargs(args)
+        self.tracer = self.flight = self.snapshotter = None
+        if not _wants_telemetry(args):
+            return
+        from .telemetry import FlightRecorder, MetricsSnapshotter, Tracer
+
+        kwargs = {}
+        if args.trace_cap is not None:
+            kwargs["max_events"] = args.trace_cap
+        self.tracer = Tracer(
+            enabled=True,
+            detail=args.trace_detail,
+            strict_tracks=True,
+            **kwargs,
+        )
+        if args.blackbox is not None:
+            self.flight = FlightRecorder()
+            self.tracer.attach_flight(self.flight)
+        if args.stream is not None or args.prom is not None:
+            if args.snapshot_every <= 0:
+                raise ConfigError("--snapshot-every must be positive")
+            self.snapshotter = MetricsSnapshotter(
+                self.tracer.metrics,
+                every_s=args.snapshot_every,
+                jsonl_path=args.stream,
+                prom_path=args.prom,
+                source=args.command,
+                flight=self.flight,
+            )
+
+    @functools.cached_property
+    def workload(self):
+        from .bench.workloads import get_workload
+
+        return get_workload(self.args.dataset, scale=self.args.scale)
+
+    @functools.cached_property
+    def system(self):
+        return self.workload.system(
+            _SSDS[self.args.ssd], num_ssds=self.args.num_ssds
+        )
+
+    def loader(self, loader_cls, dataset, system, config, **kwargs):
+        """A GIDS-family loader wired to the fault plan, telemetry,
+        integrity and storage-HA flags."""
+        loader = loader_cls(
+            dataset, system, config,
+            fault_plan=self.fault_plan, tracer=self.tracer,
+            verify_reads=self.args.verify_reads,
+            scrub_iops=self.args.scrub_iops,
+            **self.ha, **kwargs,
+        )
+        loader.snapshotter = self.snapshotter
+        return loader
+
+    def finish(self, runs=(), export=None, *, registry=None, breach=None):
+        """Close the run and emit its export.
+
+        In order: evaluate the SLO rules (before the trace is written, so
+        fired instants land in it), take the final metric snapshot at the
+        modeled clock, dump the black box on a breach, write the trace,
+        then build the export, write it to ``-o`` and print it under
+        ``--format json``.
+
+        ``runs`` pairs each finished report with the name its alerts
+        print under; a ``None`` report (serving) evaluates the rules
+        against ``registry`` alone.  ``breach`` is a ``(trigger, at_s,
+        context)`` the command detected itself; otherwise a fired rule
+        is the breach.  ``export(alerts_blocks, observability)`` returns
+        the JSON document.
+        """
+        args, tracer, flight = self.args, self.tracer, self.flight
+        blocks = [None] * len(runs)
+        if self.alert_rules is not None:
+            from .observatory import SLOMonitor
+
+            monitor = SLOMonitor(self.alert_rules, tracer=tracer)
+            blocks = [monitor.evaluate(report, registry) for _, report in runs]
+            for (name, _), block in zip(runs, blocks):
+                _print_alerts(name, block)
+        if self.snapshotter is not None:
+            last = self.snapshotter.last_taken_s
+            self.snapshotter.take(
+                max(tracer.clock_s, last if last is not None else 0.0)
+            )
+        if flight is not None and breach is None and blocks and blocks[0]:
+            fired = [f["name"] for f in blocks[0]["fired"]]
+            if fired:
+                breach = (
+                    f"slo breach: {', '.join(fired)}",
+                    tracer.clock_s,
+                    {"fired_rules": fired},
+                )
+        if flight is not None and breach is not None:
+            trigger, at_s, context = breach
+            flight.dump(args.blackbox, trigger=trigger, at_s=at_s,
+                        context=context)
+            print(f"wrote flight-recorder dump to {args.blackbox}",
+                  file=sys.stderr)
+        if tracer is not None and args.trace is not None:
+            from .telemetry import write_chrome_trace
+
+            events = write_chrome_trace(tracer, args.trace)
+            print(f"wrote {events} trace events to {args.trace}",
+                  file=sys.stderr)
+        if export is None:
+            return
+        from .pipeline.export import observability_block
+
+        observability = observability_block(
+            tracer=tracer, snapshotter=self.snapshotter, flight=flight
+        )
+        _emit_json(args, export(blocks, observability))
+
+
+def _checkpoint_store(args: argparse.Namespace):
+    """Open ``--checkpoint-dir``.
+
+    Without ``--resume``, snapshots left over from a previous invocation
+    are cleared so the run starts from step 0 (in-run crash recovery
+    still resumes from the snapshots this run writes).
+    """
+    from .checkpoint import CheckpointStore
+
+    store = CheckpointStore(args.checkpoint_dir)
+    stale = [] if args.resume else store.iterations()
+    if stale:
+        print(
+            f"note: clearing {len(stale)} old snapshot(s) from "
+            f"{args.checkpoint_dir} (pass --resume to continue them)",
+            file=sys.stderr,
+        )
+        for iteration in stale:
+            os.unlink(store.path_for(iteration))
+    return store
+
+
+def _supervise(args: argparse.Namespace, pipeline_factory):
+    """Train ``--iterations`` under the run supervisor behind the
+    ``--checkpoint-*`` flags; returns the supervised outcome."""
+    from .checkpoint import RunSupervisor, SupervisorConfig
+
+    config = SupervisorConfig(checkpoint_every=args.checkpoint_every)
+    return RunSupervisor(
+        pipeline_factory,
+        _checkpoint_store(args),
+        config=config,
+        blackbox_path=args.blackbox,
+    ).run(args.iterations)
+
+
+def _cmd_datasets(args: argparse.Namespace) -> int:
     from .graph.datasets import DATASETS
 
     rows = []
@@ -992,290 +1078,129 @@ def _cmd_datasets() -> int:
     return 0
 
 
-def _make_supervisor(args: argparse.Namespace, pipeline_factory):
-    """Build the run supervisor behind the ``--checkpoint-*`` flags.
-
-    Without ``--resume``, snapshots left over from a previous invocation
-    are cleared so the run starts from iteration 0 (in-run crash recovery
-    still resumes from the snapshots this run writes).
-    """
-    from .checkpoint import CheckpointStore, RunSupervisor, SupervisorConfig
-
-    config = SupervisorConfig(checkpoint_every=args.checkpoint_every)
-    store = CheckpointStore(
-        args.checkpoint_dir, keep=config.keep_snapshots
-    )
-    if not args.resume:
-        stale = store.iterations()
-        if stale:
-            print(
-                f"note: clearing {len(stale)} old snapshot(s) from "
-                f"{args.checkpoint_dir} (pass --resume to continue them)",
-                file=sys.stderr,
-            )
-            import os
-
-            for iteration in stale:
-                os.unlink(store.path_for(iteration))
-    return RunSupervisor(
-        pipeline_factory,
-        store,
-        config=config,
-        blackbox_path=getattr(args, "blackbox", None),
-    )
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
+    """``run``: compare loaders, or (``--checkpoint-dir``) one supervised,
+    crash-safe functional training run.
+
+    Snapshot/resume requires the stateful GIDS-family loaders; the
+    supervised report covers every trained iteration (no warmup split)
+    and its JSON export carries the ``checkpoint_summary`` block.  The
+    tracer is re-attached on every restart attempt: restoring a snapshot
+    restores the trace recorded up to it, so a killed-and-resumed run
+    still emits one seamless trace.
+    """
     from .baselines.ginex import GinexLoader
     from .baselines.mmap_loader import DGLMmapLoader
-    from .bench.workloads import get_workload
     from .core.bam import BaMDataLoader
     from .core.gids import GIDSDataLoader
-    from .pipeline.export import report_to_json, reports_to_comparison_csv
+    from .pipeline.export import report_to_dict, reports_to_comparison_csv
+    from .pipeline.runner import TrainingPipeline
+    from .training.graphsage import GraphSAGE
 
-    workload = get_workload(args.dataset, scale=args.scale)
-    system = workload.system(_SSDS[args.ssd], num_ssds=args.num_ssds)
+    loaders = {"gids": GIDSDataLoader, "bam": BaMDataLoader}
+    ha_on = args.replication > 1 or args.parity or args.rebuild_iops > 0
+    if ha_on and args.loader not in ("gids", "bam", "all"):
+        raise ConfigError(
+            "--replication/--parity/--rebuild-iops require the gids or bam "
+            "loader"
+        )
+    if _wants_telemetry(args) and args.loader not in loaders:
+        raise ConfigError(
+            "--trace/--stream/--prom/--blackbox require --loader gids or bam "
+            "(the baseline loaders are not instrumented)"
+        )
+    if args.checkpoint_dir is not None and args.loader not in loaders:
+        raise ConfigError(
+            "--checkpoint-dir requires --loader gids or bam (the baseline "
+            "loaders cannot be checkpointed mid-run)"
+        )
+    session = _RunSession(args)
+    workload = session.workload
+    system = session.system
+    dataset = workload.dataset
     config = workload.loader_config()
     common = dict(
         batch_size=workload.batch_size, fanouts=workload.fanouts, seed=1
     )
-    fault_plan = None
-    if args.fault_plan is not None:
-        fault_plan = _load_fault_plan(args.fault_plan)
-    ha = _ha_kwargs(args)
-    ha_on = (
-        ha["replication"] > 1 or ha["parity"] or ha["rebuild_iops"] > 0
-    )
-    if ha_on and args.loader not in ("gids", "bam", "all"):
-        print(
-            "error: --replication/--parity/--rebuild-iops require the "
-            "gids or bam loader",
-            file=sys.stderr,
-        )
-        return 2
-    alert_rules = None
-    if args.alerts is not None:
-        alert_rules = _load_alert_rules(args.alerts)
 
-    if _wants_telemetry(args) and args.loader not in ("gids", "bam"):
-        print(
-            "error: --trace/--stream/--prom/--blackbox require --loader "
-            "gids or bam (the baseline loaders are not instrumented)",
-            file=sys.stderr,
-        )
-        return 2
-    tracer = _make_tracer(args)
-    flight = _make_flight(args, tracer)
-    snapshotter = _make_snapshotter(args, tracer, "run", flight=flight)
-
-    if args.checkpoint_dir is not None:
-        return _cmd_run_supervised(
-            args, workload, system, config, common, fault_plan, tracer,
-            alert_rules, flight=flight, snapshotter=snapshotter,
+    def wired_loader(kind: str):
+        hot = {"hot_nodes": workload.hot_nodes} if kind == "gids" else {}
+        return session.loader(
+            loaders[kind], dataset, system, config, **hot, **common
         )
 
-    heterogeneous = workload.dataset.hetero is not None
-    selected = (
-        ["gids", "bam", "ginex", "mmap"]
-        if args.loader == "all"
-        else [args.loader]
-    )
-    integrity = dict(
-        verify_reads=args.verify_reads, scrub_iops=args.scrub_iops
-    )
-    reports = []
+    def pipeline_factory() -> TrainingPipeline:
+        model = GraphSAGE(
+            dataset.feature_dim, 32, 8, num_layers=len(workload.fanouts),
+            seed=0,
+        )
+        return TrainingPipeline(
+            wired_loader(args.loader), model, num_classes=8
+        )
+
+    summary = None
+    reports: list = []
     ha_blocks: list = []
+    if args.checkpoint_dir is not None:
+        outcome = _supervise(args, pipeline_factory)
+        summary = outcome.summary
+        reports.append(outcome.report)
+        ha_blocks.append(None)
+        selected = []
+    elif args.loader == "all":
+        selected = ["gids", "bam", "ginex", "mmap"]
+    else:
+        selected = [args.loader]
     for kind in selected:
-        if kind == "gids":
-            loader = GIDSDataLoader(
-                workload.dataset, system, config,
-                hot_nodes=workload.hot_nodes, fault_plan=fault_plan,
-                tracer=tracer, **integrity, **ha, **common,
-            )
-            loader.snapshotter = snapshotter
+        if kind in loaders:
+            loader = wired_loader(kind)
             reports.append(loader.run(args.iterations, warmup=10))
-            ha_blocks.append(
-                loader.storage_ha.summary_block()
-                if loader.storage_ha is not None
-                else None
-            )
-        elif kind == "bam":
-            loader = BaMDataLoader(
-                workload.dataset, system, config, fault_plan=fault_plan,
-                tracer=tracer, **integrity, **ha, **common,
-            )
-            loader.snapshotter = snapshotter
-            reports.append(loader.run(args.iterations, warmup=10))
-            ha_blocks.append(
-                loader.storage_ha.summary_block()
-                if loader.storage_ha is not None
-                else None
-            )
+            ha_blocks.append(_ha_block(loader))
         elif kind == "ginex":
-            if heterogeneous:
+            if dataset.hetero is not None:
                 print(
                     "note: Ginex supports only homogeneous graphs; skipped",
                     file=sys.stderr,
                 )
                 continue
             loader = GinexLoader(
-                workload.dataset, system, fault_plan=fault_plan,
+                dataset, system, fault_plan=session.fault_plan,
                 verify_reads=args.verify_reads, **common,
             )
             reports.append(loader.run(args.iterations, warmup=150))
             ha_blocks.append(None)
         else:
-            if fault_plan is not None:
+            if session.fault_plan is not None:
                 print(
                     "note: the mmap loader has no fault-injection path; "
                     "running it healthy",
                     file=sys.stderr,
                 )
-            loader = DGLMmapLoader(workload.dataset, system, **common)
+            loader = DGLMmapLoader(dataset, system, **common)
             reports.append(loader.run(args.iterations, warmup=150))
             ha_blocks.append(None)
-
     if not reports:
         print("no loader could run on this workload", file=sys.stderr)
         return 1
-    alerts_blocks: list = [None] * len(reports)
-    if alert_rules is not None:
-        from .observatory import SLOMonitor
 
-        # Evaluate before writing the trace so fired instants land in it.
-        monitor = SLOMonitor(alert_rules, tracer=tracer)
-        alerts_blocks = [monitor.evaluate(r) for r in reports]
-        for report, block in zip(reports, alerts_blocks):
-            _print_alerts(report.loader_name, block)
-    _finish_snapshots(snapshotter, tracer)
-    if tracer is not None and alerts_blocks and flight is not None:
-        _breach_blackbox(args, flight, alerts_blocks[0], tracer.clock_s)
-    if tracer is not None and args.trace is not None:
-        _write_trace(tracer, args.trace)
-    if args.format == "json":
-        from .pipeline.export import observability_block
-
+    def export(alerts, observability):
         # --trace implies a single traced loader, so the tracer (when
         # present) belongs to the one report in the list.
-        obs = observability_block(
-            tracer=tracer, snapshotter=snapshotter, flight=flight
-        )
-        print(
-            "["
-            + ",\n".join(
-                report_to_json(
-                    r, tracer=tracer, system=system, alerts=block,
-                    storage_ha=ha_block, observability=obs,
-                )
-                for r, block, ha_block in zip(
-                    reports, alerts_blocks, ha_blocks
-                )
+        docs = [
+            report_to_dict(
+                report, checkpoint_summary=summary, tracer=session.tracer,
+                system=system, alerts=block, storage_ha=ha_block,
+                observability=observability,
             )
-            + "]"
-        )
-    elif args.format == "csv":
-        print(reports_to_comparison_csv(reports), end="")
-    else:
-        slowest = max(r.e2e_time for r in reports)
-        rows = [
-            [
-                r.loader_name,
-                f"{r.e2e_time * 1e3:.2f}",
-                f"{r.time_per_iteration() * 1e3:.3f}",
-                f"{slowest / r.e2e_time:.1f}x",
-            ]
-            for r in reports
+            for report, block, ha_block in zip(reports, alerts, ha_blocks)
         ]
-        print(
-            render_table(
-                ["loader", f"E2E ms ({args.iterations} iters)", "ms/iter",
-                 "speedup vs slowest"],
-                rows,
-                title=f"{args.dataset} on {_SSDS[args.ssd].name} "
-                f"x{args.num_ssds}",
-            )
-        )
-    return 0
+        return docs if summary is None else docs[0]
 
-
-def _cmd_run_supervised(
-    args, workload, system, config, common, fault_plan, tracer=None,
-    alert_rules=None, flight=None, snapshotter=None,
-) -> int:
-    """``run --checkpoint-dir``: crash-safe supervised functional training.
-
-    Snapshot/resume requires the stateful GIDS-family loaders; the run
-    report covers every trained iteration (no warmup split) and the JSON
-    export carries the ``checkpoint_summary`` block.  The tracer (if any)
-    is created once out here and re-attached on every restart attempt:
-    restoring a snapshot restores the trace recorded up to it, so a
-    killed-and-resumed run still emits one seamless trace.
-    """
-    from .core.bam import BaMDataLoader
-    from .core.gids import GIDSDataLoader
-    from .pipeline.export import report_to_json
-    from .pipeline.runner import TrainingPipeline
-    from .training.graphsage import GraphSAGE
-
-    loader_cls = {"gids": GIDSDataLoader, "bam": BaMDataLoader}.get(
-        args.loader
-    )
-    if loader_cls is None:
-        print(
-            "error: --checkpoint-dir requires --loader gids or bam "
-            "(the baseline loaders cannot be checkpointed mid-run)",
-            file=sys.stderr,
-        )
-        return 2
-
-    def pipeline_factory() -> TrainingPipeline:
-        kwargs = dict(common)
-        if loader_cls is GIDSDataLoader:
-            kwargs["hot_nodes"] = workload.hot_nodes
-        loader = loader_cls(
-            workload.dataset, system, config,
-            fault_plan=fault_plan, tracer=tracer,
-            verify_reads=args.verify_reads, scrub_iops=args.scrub_iops,
-            **_ha_kwargs(args), **kwargs,
-        )
-        loader.snapshotter = snapshotter
-        model = GraphSAGE(
-            workload.dataset.feature_dim, 32, 8, num_layers=len(
-                workload.fanouts
-            ), seed=0,
-        )
-        return TrainingPipeline(loader, model, num_classes=8)
-
-    supervisor = _make_supervisor(args, pipeline_factory)
-    outcome = supervisor.run(args.iterations)
-    summary = outcome.summary
-    alerts_block = None
-    if alert_rules is not None:
-        from .observatory import SLOMonitor
-
-        monitor = SLOMonitor(alert_rules, tracer=tracer)
-        alerts_block = monitor.evaluate(outcome.report)
-        _print_alerts(outcome.report.loader_name, alerts_block)
-    _finish_snapshots(snapshotter, tracer)
-    if tracer is not None:
-        _breach_blackbox(args, flight, alerts_block, tracer.clock_s)
-    if tracer is not None and args.trace is not None:
-        _write_trace(tracer, args.trace)
-
-    if args.format == "json":
-        from .pipeline.export import observability_block
-
-        print(
-            report_to_json(
-                outcome.report, checkpoint_summary=summary, tracer=tracer,
-                system=system, alerts=alerts_block,
-                observability=observability_block(
-                    tracer=tracer, snapshotter=snapshotter, flight=flight
-                ),
-            )
-        )
-    else:
-        report = outcome.report
+    session.finish([(r.loader_name, r) for r in reports], export)
+    if args.format == "csv":
+        print(reports_to_comparison_csv(reports), end="")
+    elif args.format == "table" and summary is not None:
+        (report,) = reports
         rows = [
             ["completed iterations", outcome.result.completed_iterations],
             ["final loss", f"{outcome.result.losses[-1]:.4f}"],
@@ -1293,6 +1218,26 @@ def _cmd_run_supervised(
                 rows,
                 title=f"supervised {report.loader_name} run on "
                 f"{args.dataset}",
+            )
+        )
+    elif args.format == "table":
+        slowest = max(r.e2e_time for r in reports)
+        rows = [
+            [
+                r.loader_name,
+                f"{r.e2e_time * 1e3:.2f}",
+                f"{r.time_per_iteration() * 1e3:.3f}",
+                f"{slowest / r.e2e_time:.1f}x",
+            ]
+            for r in reports
+        ]
+        print(
+            render_table(
+                ["loader", f"E2E ms ({args.iterations} iters)", "ms/iter",
+                 "speedup vs slowest"],
+                rows,
+                title=f"{args.dataset} on {_SSDS[args.ssd].name} "
+                f"x{args.num_ssds}",
             )
         )
     return 0
@@ -1322,24 +1267,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
         cpu_buffer_fraction=0.10,
         window_depth=4,
     )
-    fault_plan = None
-    if args.fault_plan is not None:
-        fault_plan = _load_fault_plan(args.fault_plan)
-    alert_rules = None
-    if args.alerts is not None:
-        alert_rules = _load_alert_rules(args.alerts)
-    tracer = _make_tracer(args)
-    flight = _make_flight(args, tracer)
-    snapshotter = _make_snapshotter(args, tracer, "train", flight=flight)
+    session = _RunSession(args)
 
     def pipeline_factory() -> TrainingPipeline:
-        loader = GIDSDataLoader(
-            dataset, system, config, batch_size=args.batch_size,
-            fanouts=(5, 5), seed=1, fault_plan=fault_plan, tracer=tracer,
-            verify_reads=args.verify_reads, scrub_iops=args.scrub_iops,
-            **_ha_kwargs(args),
+        loader = session.loader(
+            GIDSDataLoader, dataset, system, config,
+            batch_size=args.batch_size, fanouts=(5, 5), seed=1,
         )
-        loader.snapshotter = snapshotter
         model = GraphSAGE(
             dataset.feature_dim, args.hidden_dim, args.classes,
             num_layers=2, lr=0.05, seed=0,
@@ -1347,8 +1281,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         return TrainingPipeline(loader, model, num_classes=args.classes)
 
     if args.checkpoint_dir is not None:
-        supervisor = _make_supervisor(args, pipeline_factory)
-        outcome = supervisor.run(args.iterations)
+        outcome = _supervise(args, pipeline_factory)
         result = outcome.result
         summary = outcome.summary
         report = outcome.report
@@ -1357,17 +1290,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         result = pipeline.train(args.iterations)
         summary = None
         report = pipeline.report
-    if alert_rules is not None:
-        from .observatory import SLOMonitor
-
-        monitor = SLOMonitor(alert_rules, tracer=tracer)
-        alerts_block = monitor.evaluate(report)
-        _print_alerts(report.loader_name, alerts_block)
-        if tracer is not None:
-            _breach_blackbox(args, flight, alerts_block, tracer.clock_s)
-    _finish_snapshots(snapshotter, tracer)
-    if tracer is not None and args.trace is not None:
-        _write_trace(tracer, args.trace)
+    session.finish([(report.loader_name, report)])
     first = sum(result.losses[:5]) / 5
     last = sum(result.losses[-5:]) / 5
     print(f"trained {result.num_steps} steps: loss {first:.4f} -> {last:.4f}")
@@ -1393,49 +1316,30 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     """``fleet``: an elastic multi-GPU epoch (or the chaos sweep)."""
-    import json
-
-    from .bench.workloads import get_workload
     from .core.fleet import (
         ElasticFleetTrainer,
         FleetConfig,
         check_invariants,
         run_chaos_suite,
     )
-    from .errors import ReproError
     from .pipeline.export import report_to_dict
 
-    workload = get_workload(args.dataset, scale=args.scale)
-    system = workload.system(_SSDS[args.ssd], num_ssds=args.num_ssds)
-    dataset = workload.dataset
-
-    fault_plan = None
-    if args.fault_plan is not None:
-        fault_plan = _load_fault_plan(args.fault_plan)
-    tracer = _make_tracer(args)
-    flight = _make_flight(args, tracer)
-    snapshotter = _make_snapshotter(args, tracer, "fleet", flight=flight)
+    session = _RunSession(args)
+    system = session.system
+    dataset = session.workload.dataset
 
     if args.chaos:
-        if fault_plan is not None:
+        if session.fault_plan is not None:
             print(
                 "note: --chaos sweeps its own fault plans; --fault-plan "
                 "is ignored",
                 file=sys.stderr,
             )
-        try:
-            suite = run_chaos_suite(
-                dataset, system, num_gpus=args.gpus, seed=args.seed
-            )
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.output is not None:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump(suite, fh, indent=2, sort_keys=True)
-        if args.format == "json":
-            print(json.dumps(suite, indent=2, sort_keys=True))
-        else:
+        suite = run_chaos_suite(
+            dataset, system, num_gpus=args.gpus, seed=args.seed
+        )
+        _emit_json(args, suite)
+        if args.format != "json":
             rows = [
                 [
                     name,
@@ -1462,64 +1366,39 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             return 1
         return 0
 
-    try:
-        fleet_config = FleetConfig(
-            num_gpus=args.gpus,
-            batch_size=args.batch_size,
-            shard_mode=args.shard_mode,
-            peer_cache=not args.no_peer_cache,
-        )
-        trainer = ElasticFleetTrainer(
-            dataset,
-            system,
-            fleet_config,
-            seed=args.seed,
-            fault_plan=fault_plan,
-            fanouts=workload.fanouts,
-            tracer=tracer,
-            **_ha_kwargs(args),
-        )
-        trainer.snapshotter = snapshotter
-        result = trainer.run_epoch()
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    fleet_config = FleetConfig(
+        num_gpus=args.gpus,
+        batch_size=args.batch_size,
+        shard_mode=args.shard_mode,
+        peer_cache=not args.no_peer_cache,
+    )
+    trainer = ElasticFleetTrainer(
+        dataset,
+        system,
+        fleet_config,
+        seed=args.seed,
+        fault_plan=session.fault_plan,
+        fanouts=session.workload.fanouts,
+        tracer=session.tracer,
+        **session.ha,
+    )
+    trainer.snapshotter = session.snapshotter
+    result = trainer.run_epoch()
 
     violations = check_invariants(dataset, result)
-    _finish_snapshots(snapshotter, tracer)
-    if violations and flight is not None:
-        flight.dump(
-            args.blackbox,
-            trigger=f"invariant violation: {'; '.join(violations)}",
-            at_s=trainer.clock_s,
-            context={"violations": list(violations)},
-        )
-        print(
-            f"wrote flight-recorder dump to {args.blackbox}",
-            file=sys.stderr,
-        )
-    if tracer is not None and args.trace is not None:
-        _write_trace(tracer, args.trace)
-    from .pipeline.export import observability_block
-
-    summary = report_to_dict(
-        result.report, system=system, fleet=result.fleet_block(),
-        tracer=tracer,
-        storage_ha=(
-            trainer.storage_ha.summary_block()
-            if trainer.storage_ha is not None
-            else None
+    session.finish(
+        export=lambda _, observability: report_to_dict(
+            result.report, system=system, fleet=result.fleet_block(),
+            tracer=session.tracer, storage_ha=_ha_block(trainer),
+            observability=observability,
         ),
-        observability=observability_block(
-            tracer=tracer, snapshotter=snapshotter, flight=flight
-        ),
+        breach=(
+            f"invariant violation: {'; '.join(violations)}",
+            trainer.clock_s,
+            {"violations": list(violations)},
+        ) if violations else None,
     )
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
-    if args.format == "json":
-        print(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False))
-    else:
+    if args.format != "json":
         rows = [
             [
                 f"gpu:{w['worker']}",
@@ -1559,24 +1438,18 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 def _cmd_fullgraph(args: argparse.Namespace) -> int:
     """``fullgraph``: sweep epochs over partitions with modeled offload."""
-    import json
-
-    from .bench.workloads import get_workload
-    from .checkpoint import CheckpointStore
-    from .errors import ReproError
+    from .errors import FaultError
     from .fullgraph import FullGraphConfig, FullGraphTrainer
     from .pipeline.export import report_to_dict
     from .utils import format_time
 
-    workload = get_workload(args.dataset, scale=args.scale)
-    system = workload.system(_SSDS[args.ssd], num_ssds=args.num_ssds)
-    dataset = workload.dataset
-
+    session = _RunSession(args)
+    tracer = session.tracer
     fault_injector = None
-    if args.fault_plan is not None:
+    if session.fault_plan is not None:
         from .faults import FaultInjector
 
-        fault_injector = FaultInjector(_load_fault_plan(args.fault_plan))
+        fault_injector = FaultInjector(session.fault_plan)
     verifier = None
     if args.verify_reads != "off":
         from .integrity import CorruptionLedger, ReadVerifier
@@ -1586,9 +1459,6 @@ def _cmd_fullgraph(args: argparse.Namespace) -> int:
             mode=args.verify_reads,
         )
 
-    tracer = _make_tracer(args)
-    flight = _make_flight(args, tracer)
-    snapshotter = _make_snapshotter(args, tracer, "fullgraph", flight=flight)
     trainer = None
     try:
         config = FullGraphConfig(
@@ -1601,45 +1471,31 @@ def _cmd_fullgraph(args: argparse.Namespace) -> int:
             ),
             num_partitions=args.partitions,
             io_overlap=not args.no_overlap,
-            **_ha_kwargs(args),
+            **session.ha,
         )
         trainer = FullGraphTrainer(
-            dataset,
-            system,
+            session.workload.dataset,
+            session.system,
             config,
             tracer=tracer,
             fault_injector=fault_injector,
             verifier=verifier,
         )
-        trainer.snapshotter = snapshotter
+        trainer.snapshotter = session.snapshotter
 
         store = None
         if args.checkpoint_dir is not None:
-            store = CheckpointStore(args.checkpoint_dir)
-            if args.resume:
-                loaded = store.load_latest()
-                if loaded is not None:
-                    trainer.load_state_dict(loaded.payload["trainer"])
-                    if tracer is not None and "tracer" in loaded.payload:
-                        tracer.load_state_dict(loaded.payload["tracer"])
-                    print(
-                        f"resumed from step {loaded.iteration} "
-                        f"({loaded.path})",
-                        file=sys.stderr,
-                    )
-            else:
-                stale = store.iterations()
-                if stale:
-                    import os
-
-                    print(
-                        f"note: clearing {len(stale)} old snapshot(s) "
-                        f"from {args.checkpoint_dir} (pass --resume to "
-                        "continue them)",
-                        file=sys.stderr,
-                    )
-                    for iteration in stale:
-                        os.unlink(store.path_for(iteration))
+            store = _checkpoint_store(args)
+            loaded = store.load_latest() if args.resume else None
+            if loaded is not None:
+                trainer.load_state_dict(loaded.payload["trainer"])
+                if tracer is not None and "tracer" in loaded.payload:
+                    tracer.load_state_dict(loaded.payload["tracer"])
+                print(
+                    f"resumed from step {loaded.iteration} "
+                    f"({loaded.path})",
+                    file=sys.stderr,
+                )
 
         total_steps = args.epochs * trainer.steps_per_epoch
         done = (
@@ -1666,16 +1522,14 @@ def _cmd_fullgraph(args: argparse.Namespace) -> int:
                     payload["tracer"] = tracer.state_dict()
                 store.save(done + ran, payload)
         result = trainer.result(target_accuracy=args.target_acc)
-    except ReproError as exc:
-        from .errors import FaultError
-
-        if isinstance(exc, FaultError) and flight is not None:
+    except FaultError as exc:
+        if session.flight is not None:
             now = trainer.clock_s if trainer is not None else 0.0
-            flight.note(
+            session.flight.note(
                 "crash", type(exc).__name__, "alerts", now,
                 detail={"message": str(exc)},
             )
-            flight.dump(
+            session.flight.dump(
                 args.blackbox,
                 trigger=f"{type(exc).__name__}: {exc}",
                 at_s=now,
@@ -1684,28 +1538,15 @@ def _cmd_fullgraph(args: argparse.Namespace) -> int:
                 f"wrote flight-recorder dump to {args.blackbox}",
                 file=sys.stderr,
             )
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise
 
-    from .pipeline.export import observability_block
-
-    _finish_snapshots(snapshotter, tracer)
-    summary = report_to_dict(
-        result.report,
-        tracer=tracer,
-        system=system,
-        fullgraph=result.block,
-        observability=observability_block(
-            tracer=tracer, snapshotter=snapshotter, flight=flight
-        ),
+    session.finish(
+        export=lambda _, observability: report_to_dict(
+            result.report, tracer=tracer, system=session.system,
+            fullgraph=result.block, observability=observability,
+        )
     )
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
-    if tracer is not None and args.trace is not None:
-        _write_trace(tracer, args.trace)
     if args.format == "json":
-        print(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False))
         return 0
 
     block = result.block
@@ -1775,97 +1616,59 @@ def _cmd_fullgraph(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """``serve``: an overload-protected online inference run."""
-    import json
-
-    from .bench.workloads import get_workload
-    from .errors import ConfigError
     from .serving import PRIORITIES, ArrivalConfig, InferenceServer, ServingConfig
     from .utils import format_rate, format_time
 
     try:
         mix = tuple(float(p) for p in args.priority_mix.split(","))
-        arrival = ArrivalConfig(
-            shape=args.shape,
-            rate=args.rate,
-            seed=args.seed,
-            priority_mix=mix,
-            deadline_s=args.deadline_ms / 1e3,
-        )
-        serving = ServingConfig(
-            protection=not args.no_protection,
-            slo_p99_s=args.slo_p99_ms / 1e3,
-        )
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    arrival = ArrivalConfig(
+        shape=args.shape,
+        rate=args.rate,
+        seed=args.seed,
+        priority_mix=mix,
+        deadline_s=args.deadline_ms / 1e3,
+    )
+    serving = ServingConfig(
+        protection=not args.no_protection,
+        slo_p99_s=args.slo_p99_ms / 1e3,
+    )
     if args.requests <= 0:
-        print("error: --requests must be positive", file=sys.stderr)
-        return 2
+        raise ConfigError("--requests must be positive")
 
-    fault_plan = None
-    if args.fault_plan is not None:
-        fault_plan = _load_fault_plan(args.fault_plan)
-    alert_rules = None
-    if args.alerts is not None:
-        alert_rules = _load_alert_rules(args.alerts)
-    tracer = _make_tracer(args)
-    flight = _make_flight(args, tracer)
-    snapshotter = _make_snapshotter(args, tracer, "serve", flight=flight)
-
-    workload = get_workload(args.dataset, scale=args.scale)
-    system = workload.system(_SSDS[args.ssd], num_ssds=args.num_ssds)
+    session = _RunSession(args)
+    workload = session.workload
     server = InferenceServer(
         workload.dataset,
-        system,
+        session.system,
         workload.loader_config(),
         arrival=arrival,
         serving=serving,
         fanouts=workload.fanouts,
         hot_nodes=workload.hot_nodes,
         seed=1,
-        fault_plan=fault_plan,
-        tracer=tracer,
-        **_ha_kwargs(args),
+        fault_plan=session.fault_plan,
+        tracer=session.tracer,
+        **session.ha,
     )
-    server.snapshotter = snapshotter
+    server.snapshotter = session.snapshotter
     server.serve(args.requests)
     server.drain()
     report = server.report()
-    _finish_snapshots(snapshotter, tracer)
-
-    alerts_block = None
-    if alert_rules is not None:
-        from .observatory import SLOMonitor
-
-        # Serving has no RunReport: rules are evaluated against the
-        # metrics registry (report-scoped rules are listed as missing).
-        monitor = SLOMonitor(alert_rules, tracer=tracer)
-        alerts_block = monitor.evaluate(None, server.registry)
-        _print_alerts(server.name, alerts_block)
-        if tracer is not None:
-            _breach_blackbox(args, flight, alerts_block, tracer.clock_s)
-    from .pipeline.export import observability_block
-
-    summary = report.export_dict(
-        tracer=tracer, system=system, alerts=alerts_block,
-        storage_ha=(
-            server.storage_ha.summary_block()
-            if server.storage_ha is not None
-            else None
+    # Serving has no RunReport: rules are evaluated against the metrics
+    # registry (report-scoped rules are listed as missing).
+    session.finish(
+        [(server.name, None)],
+        lambda alerts, observability: report.export_dict(
+            tracer=session.tracer, system=session.system, alerts=alerts[0],
+            storage_ha=_ha_block(server), observability=observability,
         ),
-        observability=observability_block(
-            tracer=tracer, snapshotter=snapshotter, flight=flight
-        ),
+        registry=server.registry,
     )
-    if tracer is not None and args.trace is not None:
-        _write_trace(tracer, args.trace)
     if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2)
         print(f"wrote serving export to {args.output}", file=sys.stderr)
-
     if args.format == "json":
-        print(json.dumps(summary, indent=2))
         return 0
 
     stats = report.stats
@@ -1936,8 +1739,7 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
     from .storage.feature_store import FeatureStore
 
     if args.scrub_iops <= 0:
-        print("error: --scrub-iops must be positive", file=sys.stderr)
-        return 2
+        raise ConfigError("--scrub-iops must be positive")
     fault_plan = None
     if args.fault_plan is not None:
         fault_plan = _load_fault_plan(args.fault_plan)
@@ -2005,8 +1807,7 @@ def _cmd_faults_validate(args: argparse.Namespace) -> int:
                 )
     if args.fleet_size is not None:
         if args.fleet_size <= 0:
-            print("error: --fleet-size must be positive", file=sys.stderr)
-            return 2
+            raise ConfigError("--fleet-size must be positive")
         for event in plan.worker_events:
             if event.worker >= args.fleet_size:
                 problems.append(
@@ -2034,8 +1835,7 @@ def _cmd_faults_validate(args: argparse.Namespace) -> int:
             )
     if args.num_ssds is not None:
         if args.num_ssds <= 0:
-            print("error: --num-ssds must be positive", file=sys.stderr)
-            return 2
+            raise ConfigError("--num-ssds must be positive")
         for event in plan.device_events:
             if event.device >= args.num_ssds:
                 problems.append(
@@ -2131,10 +1931,7 @@ def _cmd_storage(args: argparse.Namespace) -> int:
     tell fail-slow from a blip), granting the rebuilder its budget each
     tick, then prints the per-device health table and rebuild progress.
     """
-    import json
-
     from .bench.workloads import get_workload
-    from .errors import ReproError
     from .faults.array import FaultySSDArray
     from .faults.injector import FaultInjector
     from .sim.ssd import SSDArray
@@ -2142,14 +1939,11 @@ def _cmd_storage(args: argparse.Namespace) -> int:
     from .storage_ha import StorageHA
 
     if args.num_ssds <= 0:
-        print("error: --num-ssds must be positive", file=sys.stderr)
-        return 2
+        raise ConfigError("--num-ssds must be positive")
     if args.duration <= 0:
-        print("error: --duration must be positive", file=sys.stderr)
-        return 2
+        raise ConfigError("--duration must be positive")
     if args.steps <= 0:
-        print("error: --steps must be positive", file=sys.stderr)
-        return 2
+        raise ConfigError("--steps must be positive")
     ha_kwargs = _ha_kwargs(args)
 
     workload = get_workload(args.dataset, scale=args.scale)
@@ -2173,17 +1967,13 @@ def _cmd_storage(args: argparse.Namespace) -> int:
                 "healthy",
                 file=sys.stderr,
             )
-    try:
-        ha = StorageHA(
-            num_devices=system.num_ssds,
-            base_latency_s=system.ssd.read_latency_s,
-            total_pages=store.layout.total_pages,
-            fault_array=fault_array,
-            **ha_kwargs,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ha = StorageHA(
+        num_devices=system.num_ssds,
+        base_latency_s=system.ssd.read_latency_s,
+        total_pages=store.layout.total_pages,
+        fault_array=fault_array,
+        **ha_kwargs,
+    )
 
     dt = args.duration / args.steps
     now = 0.0
@@ -2196,7 +1986,7 @@ def _cmd_storage(args: argparse.Namespace) -> int:
     block["observed_seconds"] = args.duration
     block["observations"] = args.steps
     if args.format == "json":
-        print(json.dumps(block, indent=2, sort_keys=True, allow_nan=False))
+        print(_dump_json(block))
         return 0
 
     ewma = ha.health.ewma_latencies()
@@ -2246,8 +2036,6 @@ def _cmd_storage(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """``trace``: render a saved Chrome-trace file as an ASCII timeline."""
-    import json
-
     from .errors import TelemetryError
     from .telemetry import (
         render_trace,
@@ -2286,14 +2074,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 0
     try:
         if args.json:
-            print(
-                json.dumps(
-                    summarize_chrome_trace(trace),
-                    indent=2,
-                    sort_keys=True,
-                    allow_nan=False,
-                )
-            )
+            print(_dump_json(summarize_chrome_trace(trace)))
         else:
             validate_chrome_trace(trace)
             print(render_trace(trace, width=args.width))
@@ -2381,7 +2162,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     """``profile``: wall-clock-vs-modeled self-profile of one experiment."""
-    import json
     import time
 
     from .bench import experiments
@@ -2409,12 +2189,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True,
-                      allow_nan=False)
-            handle.write("\n")
+            handle.write(_dump_json(doc) + "\n")
         print(f"wrote profile to {args.output}", file=sys.stderr)
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
+        print(_dump_json(doc))
     else:
         print(render_profile(doc))
     return 0
@@ -2434,10 +2212,8 @@ def _cmd_ssd_model(args: argparse.Namespace) -> int:
     ]
     required = array.required_overlapping(args.target)
     if args.json:
-        import json
-
         print(
-            json.dumps(
+            _dump_json(
                 {
                     "ssd": array.spec.name,
                     "num_ssds": array.num_ssds,
@@ -2446,10 +2222,7 @@ def _cmd_ssd_model(args: argparse.Namespace) -> int:
                     "target": args.target,
                     "required_overlapping": required,
                     "points": points,
-                },
-                indent=2,
-                sort_keys=True,
-                allow_nan=False,
+                }
             )
         )
         return 0
@@ -2477,9 +2250,6 @@ def _cmd_ssd_model(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     """``analyze``: bottleneck attribution for a saved report export."""
-    import json
-
-    from .errors import ObservatoryError
     from .observatory import attribute_summary, system_spec_block
 
     summary = _load_report(args.report, loader=args.loader)
@@ -2495,13 +2265,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             f"{specs['ssd']} x{specs['num_ssds']} (--ssd/--num-ssds)",
             file=sys.stderr,
         )
-    try:
-        block = attribute_summary(summary, specs)
-    except ObservatoryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    block = attribute_summary(summary, specs)
     if args.json:
-        print(json.dumps(block, indent=2, sort_keys=True, allow_nan=False))
+        print(_dump_json(block))
         return 0
 
     rows = [
@@ -2563,53 +2329,36 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     """``compare``: regression gate between reports or vs the history."""
-    import json
-
-    from .errors import ObservatoryError
     from .observatory import (
         RunHistory,
         compare_summaries,
         compare_to_history,
     )
 
-    try:
-        if args.history is not None:
-            if len(args.reports) != 1:
-                print(
-                    "error: --history takes exactly one CANDIDATE report",
-                    file=sys.stderr,
-                )
-                return 2
-            candidate = _load_report(args.reports[0], loader=args.loader)
-            result = compare_to_history(
-                candidate,
-                RunHistory(args.history),
-                sigma=args.sigma,
-                threshold=args.threshold,
+    if args.history is not None:
+        if len(args.reports) != 1:
+            raise ConfigError("--history takes exactly one CANDIDATE report")
+        candidate = _load_report(args.reports[0], loader=args.loader)
+        result = compare_to_history(
+            candidate,
+            RunHistory(args.history),
+            sigma=args.sigma,
+            threshold=args.threshold,
+        )
+    else:
+        if len(args.reports) != 2:
+            raise ConfigError(
+                "compare takes BASELINE and CANDIDATE reports (or one "
+                "CANDIDATE with --history)"
             )
-        else:
-            if len(args.reports) != 2:
-                print(
-                    "error: compare takes BASELINE and CANDIDATE reports "
-                    "(or one CANDIDATE with --history)",
-                    file=sys.stderr,
-                )
-                return 2
-            baseline = _load_report(args.reports[0], loader=args.loader)
-            candidate = _load_report(args.reports[1], loader=args.loader)
-            result = compare_summaries(
-                baseline, candidate, threshold=args.threshold
-            )
-    except ObservatoryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        baseline = _load_report(args.reports[0], loader=args.loader)
+        candidate = _load_report(args.reports[1], loader=args.loader)
+        result = compare_summaries(
+            baseline, candidate, threshold=args.threshold
+        )
 
     if args.json:
-        print(
-            json.dumps(
-                result.to_dict(), indent=2, sort_keys=True, allow_nan=False
-            )
-        )
+        print(_dump_json(result.to_dict()))
         return result.exit_code
 
     def fmt(value: float | None) -> str:
@@ -2646,13 +2395,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_history_record(args: argparse.Namespace) -> int:
     """``history record``: append one report summary to the history."""
-    from .errors import ObservatoryError
     from .observatory import RunHistory
 
     summary = _load_report(args.report, loader=args.loader)
     try:
         record = RunHistory(args.dir).append(summary, label=args.label)
-    except (ObservatoryError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     e2e = record.e2e_seconds
@@ -2667,26 +2415,12 @@ def _cmd_history_record(args: argparse.Namespace) -> int:
 
 def _cmd_history_list(args: argparse.Namespace) -> int:
     """``history list``: show recorded fingerprints or one trend."""
-    import json
-
-    from .errors import ObservatoryError
     from .observatory import RunHistory
 
     history = RunHistory(args.dir)
-    try:
-        records = history.records(args.fingerprint)
-    except ObservatoryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    records = history.records(args.fingerprint)
     if args.json:
-        print(
-            json.dumps(
-                [record.to_dict() for record in records],
-                indent=2,
-                sort_keys=True,
-                allow_nan=False,
-            )
-        )
+        print(_dump_json([record.to_dict() for record in records]))
         return 0
     if not records:
         print(f"history at {history.path} holds no records")
@@ -2736,51 +2470,42 @@ def _cmd_history_list(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS = {
+    "datasets": _cmd_datasets,
+    "run": _cmd_run,
+    "figure": _cmd_figure,
+    "train": _cmd_train,
+    "fullgraph": _cmd_fullgraph,
+    "fleet": _cmd_fleet,
+    "serve": _cmd_serve,
+    "scrub": _cmd_scrub,
+    "storage": _cmd_storage,
+    "faults validate": _cmd_faults_validate,
+    "trace": _cmd_trace,
+    "top": _cmd_top,
+    "profile": _cmd_profile,
+    "ssd-model": _cmd_ssd_model,
+    "analyze": _cmd_analyze,
+    "compare": _cmd_compare,
+    "history record": _cmd_history_record,
+    "history list": _cmd_history_list,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    This is the one error boundary: a :class:`~repro.errors.ReproError`
+    escaping any command becomes a single ``error: ...`` line on stderr
+    and exit status 2.
+    """
     args = build_parser().parse_args(argv)
-    if args.command == "datasets":
-        return _cmd_datasets()
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "figure":
-        return _cmd_figure(args)
-    if args.command == "train":
-        return _cmd_train(args)
-    if args.command == "fullgraph":
-        return _cmd_fullgraph(args)
-    if args.command == "fleet":
-        return _cmd_fleet(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "scrub":
-        return _cmd_scrub(args)
-    if args.command == "storage":
-        return _cmd_storage(args)
-    if args.command == "faults":
-        if args.faults_command == "validate":
-            return _cmd_faults_validate(args)
-        raise AssertionError(
-            f"unhandled faults command {args.faults_command!r}"
-        )
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "top":
-        return _cmd_top(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "ssd-model":
-        return _cmd_ssd_model(args)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
-    if args.command == "history":
-        if args.history_command == "record":
-            return _cmd_history_record(args)
-        if args.history_command == "list":
-            return _cmd_history_list(args)
-        raise AssertionError(
-            f"unhandled history command {args.history_command!r}"
-        )
-    raise AssertionError(f"unhandled command {args.command!r}")
+    sub = getattr(args, "faults_command", None) or getattr(
+        args, "history_command", None
+    )
+    command = args.command if sub is None else f"{args.command} {sub}"
+    try:
+        return _COMMANDS[command](args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2

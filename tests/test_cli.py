@@ -79,3 +79,62 @@ class TestCommands:
         )
         assert code == 0
         assert "accuracy" in capsys.readouterr().out
+
+
+class TestErrorBoundary:
+    """A typed error from any command is one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--dataset", "Bogus"],
+            ["serve", "--dataset", "Bogus"],
+            ["run", "--dataset", "IGB-tiny", "--scale", "0.05",
+             "--num-ssds", "0"],
+            ["train", "--scale", "0.05", "--iterations", "0"],
+            ["fullgraph", "--scale", "0.01", "--epochs", "0"],
+            ["scrub", "--scale", "0.01", "--num-ssds", "0"],
+        ],
+        ids=["run-dataset", "serve-dataset", "run-num-ssds",
+             "train-iterations", "fullgraph-epochs", "scrub-num-ssds"],
+    )
+    def test_repro_error_exits_two_with_one_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: ")
+
+    def test_process_exit_code_has_no_traceback(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--dataset", "Bogus"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: unknown dataset 'Bogus'")
+
+
+def test_supervised_run_csv(tmp_path, capsys):
+    code = main(
+        [
+            "run", "--dataset", "IGB-tiny", "--scale", "0.02",
+            "--loader", "gids", "--iterations", "5",
+            "--checkpoint-dir", str(tmp_path), "--format", "csv",
+        ]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("loader,")
+    assert "GIDS" in out

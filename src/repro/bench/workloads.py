@@ -35,6 +35,7 @@ from ..errors import ConfigError
 from ..graph.datasets import ScaledDataset, get_dataset_spec, load_scaled
 from ..graph.pagerank import hot_node_ranking
 from ..sampling.neighbor import NeighborSampler
+from ..storage.stack import train_seed_weights
 
 #: Paper capacities (Table 1 / Section 4.1), in bytes at full scale.
 PAPER_CPU_MEMORY = 512e9
@@ -181,10 +182,10 @@ def get_workload(
             dataset, fanouts, target_inputs, seed=seed
         )
 
-    seed_weights = np.zeros(dataset.num_nodes)
-    seed_weights[dataset.train_ids] = 1.0
     hot = hot_node_ranking(
-        dataset.graph, "reverse_pagerank", seed_weights=seed_weights
+        dataset.graph,
+        "reverse_pagerank",
+        seed_weights=train_seed_weights(dataset),
     )
     return Workload(
         dataset=dataset,

@@ -103,11 +103,16 @@ class CheckpointSummary:
 
 @dataclass(frozen=True)
 class SupervisedRunResult:
-    """Outcome of a supervised run: training result + report + supervision."""
+    """Outcome of a supervised run: training result + report + supervision.
+
+    ``pipeline`` is the pipeline that finished the run, so callers can
+    read its loader's end state (e.g. the storage-HA block).
+    """
 
     result: TrainingResult
     report: RunReport
     summary: CheckpointSummary
+    pipeline: TrainingPipeline
 
 
 class RunSupervisor:
@@ -188,6 +193,7 @@ class RunSupervisor:
                     result=pipeline.result(),
                     report=pipeline.report,
                     summary=self.summary,
+                    pipeline=pipeline,
                 )
             watchdog_last = [self._loader_now(pipeline)]
 
@@ -245,6 +251,7 @@ class RunSupervisor:
                 result=result,
                 report=pipeline.report,
                 summary=self.summary,
+                pipeline=pipeline,
             )
 
     def _dump_blackbox(self, pipeline: TrainingPipeline, exc: Exception) -> None:

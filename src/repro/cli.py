@@ -1145,7 +1145,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         outcome = _supervise(args, pipeline_factory)
         summary = outcome.summary
         reports.append(outcome.report)
-        ha_blocks.append(None)
+        ha_blocks.append(_ha_block(outcome.pipeline.loader))
         selected = []
     elif args.loader == "all":
         selected = ["gids", "bam", "ginex", "mmap"]

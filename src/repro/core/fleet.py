@@ -63,7 +63,7 @@ from ..sim.counters import TransferCounters
 from ..sim.gpu import GPUModel
 from ..sim.ssd import SSDArray
 from ..storage.feature_store import FeatureStore
-from ..storage_ha import StorageHA
+from ..storage_ha import HARouteOutcome, StorageHA
 from ..training.graphsage import (
     GraphSAGE,
     average_gradients,
@@ -658,7 +658,7 @@ class ElasticFleetTrainer:
 
     def _serve_pages(
         self, worker: _Worker, pages: np.ndarray, n_active: int
-    ) -> tuple[float, float, float, int, int, int]:
+    ) -> tuple[float, float, float, int, int, int, HARouteOutcome | None]:
         """Serve one batch's pages through cache -> peers -> SSD.
 
         Returns ``(hbm_s, peer_s, ssd_s, n_hits, n_peer, n_ssd,

@@ -25,17 +25,10 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from ..cache.cpu_buffer import ConstantCPUBuffer
 from ..cache.gpu_cache import GPUSoftwareCache
 from ..config import LoaderConfig, SystemConfig
 from ..errors import CheckpointError, ConfigError
-from ..faults import (
-    FaultInjector,
-    FaultPlan,
-    FaultStats,
-    FaultySSDArray,
-    RetryPolicy,
-)
+from ..faults import FaultPlan, FaultStats, RetryPolicy
 from ..graph.datasets import ScaledDataset
 from ..graph.pagerank import hot_node_ranking
 from ..integrity import (
@@ -51,11 +44,7 @@ from ..sampling.minibatch import MiniBatch
 from ..sampling.neighbor import NeighborSampler
 from ..sampling.seeds import SeedBatchStream
 from ..sim.counters import TransferCounters
-from ..sim.gpu import GPUModel
-from ..sim.pcie import PCIeLink
-from ..sim.ssd import SSDArray
-from ..storage.feature_store import FeatureStore
-from ..storage_ha import StorageHA
+from ..storage.stack import StorageStack
 from ..telemetry import Tracer
 from ..telemetry.context import TraceContext, step_trace_id
 from ..telemetry.tracks import INTEGRITY_TRACK
@@ -85,7 +74,7 @@ def apportion(total: int, weights: list[int]) -> list[int]:
     return out.tolist()
 
 
-class GIDSDataLoader:
+class GIDSDataLoader(StorageStack):
     """GPU-initiated direct-storage-access dataloader.
 
     Args:
@@ -187,47 +176,17 @@ class GIDSDataLoader:
         #: .MetricsSnapshotter`, polled at each group boundary.
         self.snapshotter = None
         self._rng = as_rng(seed)
-
-        self.store = FeatureStore(
-            dataset.num_nodes, dataset.feature_dim, data=features
-        )
-        self.layout = self.store.layout
-        self.ssd = SSDArray(system.ssd, system.num_ssds)
-        self.pcie = PCIeLink(system.pcie)
-        self.gpu = GPUModel(system.gpu)
-
-        # Fault machinery is strictly pay-for-what-you-use: with no plan
-        # (or a null one) none of the branches below ever fire and the
-        # modeled times are bit-identical to a loader without fault support.
-        self.fault_plan = fault_plan
-        self.faults: FaultInjector | None = None
-        self.fault_array: FaultySSDArray | None = None
         self._sim_now_s = 0.0
-        if fault_plan is not None and not fault_plan.is_null():
-            self.faults = FaultInjector(fault_plan, retry_policy)
-            self.fault_array = FaultySSDArray(self.ssd, self.faults)
-            if fault_plan.pcie_degradation_factor > 1.0:
-                self.pcie = PCIeLink(
-                    system.pcie,
-                    degradation_factor=fault_plan.pcie_degradation_factor,
-                )
-
-        # Storage HA (replication/parity + health + rebuild) is likewise
-        # pay-for-what-you-use: with the defaults no StorageHA object
-        # exists, and with redundancy on but no fault machinery attached
-        # every route() is an inert all-direct pass-through.
-        self.storage_ha: StorageHA | None = None
-        if replication > 1 or parity or rebuild_iops > 0:
-            self.storage_ha = StorageHA(
-                num_devices=system.num_ssds,
-                base_latency_s=system.ssd.read_latency_s,
-                replication=replication,
-                parity=parity,
-                rebuild_iops=rebuild_iops,
-                total_pages=self.store.layout.total_pages,
-                fault_array=self.fault_array,
-                tracer=tracer,
-            )
+        self._build_storage(
+            rank=hot_node_ranking,
+            features=features,
+            hot_nodes=hot_nodes,
+            fault_plan=fault_plan,
+            retry_policy=retry_policy,
+            replication=replication,
+            parity=parity,
+            rebuild_iops=rebuild_iops,
+        )
 
         # Integrity machinery follows the same pay-for-what-you-use rule:
         # it exists only when something can corrupt reads or the caller
@@ -270,15 +229,6 @@ class GIDSDataLoader:
             sampler_kind, fanouts, layer_sizes, hetero_fanouts
         )
 
-        cache_lines = int(self.config.gpu_cache_bytes // self.layout.page_bytes)
-        # The cache gets its own spawned RNG stream so eviction draws never
-        # perturb the sampling stream: two loaders with the same seed sample
-        # identical batches regardless of their cache activity.
-        self._cache_rng = self._rng.spawn(1)[0]
-        self.cache = GPUSoftwareCache(cache_lines, seed=self._cache_rng)
-        self.cache.tracer = tracer
-
-        self.cpu_buffer = self._build_cpu_buffer(hot_nodes)
         self.accumulator = self._build_accumulator()
         if self.accumulator is not None:
             self.accumulator.tracer = tracer
@@ -324,43 +274,6 @@ class GIDSDataLoader:
         raise ConfigError(
             f"unknown sampler kind {sampler_kind!r}; "
             "expected 'neighbor', 'ladies' or 'hetero'"
-        )
-
-    def _build_cpu_buffer(
-        self, hot_nodes: np.ndarray | None
-    ) -> ConstantCPUBuffer | None:
-        fraction = self.config.cpu_buffer_fraction
-        if fraction <= 0:
-            return None
-        capacity = fraction * self.dataset.feature_data_bytes
-        if hot_nodes is not None:
-            # Caller supplied a precomputed ranking (Section 3.3: users may
-            # "define which nodes should be pinned" with their own metric).
-            return ConstantCPUBuffer(
-                num_nodes=self.dataset.num_nodes,
-                feature_bytes=self.store.feature_bytes,
-                capacity_bytes=capacity,
-                hot_nodes=np.asarray(hot_nodes, dtype=np.int64),
-            )
-        seed_weights = None
-        if self.config.hot_node_metric == "reverse_pagerank":
-            # Weight the teleport vector by training-seed membership so the
-            # ranking reflects the actual sampling frontier (Section 3.3).
-            seed_weights = np.zeros(self.dataset.num_nodes)
-            seed_weights[self.dataset.train_ids] = 1.0
-            if seed_weights.sum() == 0:
-                seed_weights = None
-        hot = hot_node_ranking(
-            self.dataset.graph,
-            self.config.hot_node_metric,
-            seed_weights=seed_weights,
-            rng=self._rng,
-        )
-        return ConstantCPUBuffer(
-            num_nodes=self.dataset.num_nodes,
-            feature_bytes=self.store.feature_bytes,
-            capacity_bytes=capacity,
-            hot_nodes=hot,
         )
 
     def _build_accumulator(self):
@@ -432,7 +345,6 @@ class GIDSDataLoader:
     def _aggregate_group(self, group) -> list[IterationMetrics]:
         """Serve one merged group's feature requests and model its time."""
         page_bytes = self.layout.page_bytes
-        feature_bytes = self.store.feature_bytes
         faults = self.faults
         array = self.ssd
         tracer = self.tracer
@@ -445,62 +357,9 @@ class GIDSDataLoader:
         if self.storage_ha is not None:
             self.storage_ha.advance(self._sim_now_s)
 
-        per_entry: list[TransferCounters] = []
-        integrity_rereads = 0
-        verified_bytes = 0
-        if self.verifier is None:
-            for entry in group:
-                n_buffer_nodes, _ = entry.payload
-                hit_mask = self.cache.access(entry.pages)
-                n_hits = int(hit_mask.sum())
-                n_miss = len(entry.pages) - n_hits
-                n_lost = 0
-                n_replica = n_reconstruct = extra_reads = 0
-                if faults is not None and n_miss:
-                    miss_pages = entry.pages[~hit_mask]
-                    if self.storage_ha is not None:
-                        # Redundant layout: unavailable pages redirect to
-                        # a surviving replica or reconstruct from parity;
-                        # only pages with no live copy fall back.
-                        route = self.storage_ha.route(miss_pages)
-                        n_lost = route.n_lost
-                        n_replica = route.n_replica
-                        n_reconstruct = route.n_reconstruct
-                        extra_reads = route.extra_service_reads
-                    else:
-                        # Pages homed on a dropped-out (or recovered but
-                        # not yet rebuilt) device are known-unavailable:
-                        # they skip storage and fall back to the
-                        # feature-store path.
-                        n_lost = int(
-                            self.fault_array.unavailable_page_mask(
-                                miss_pages
-                            ).sum()
-                        )
-                n_storage = n_miss - n_lost
-                per_entry.append(
-                    TransferCounters(
-                        storage_requests=n_storage,
-                        storage_bytes=(n_storage + extra_reads) * page_bytes,
-                        cpu_buffer_requests=n_buffer_nodes,
-                        cpu_buffer_bytes=n_buffer_nodes * feature_bytes,
-                        gpu_cache_hits=n_hits,
-                        gpu_cache_bytes=n_hits * page_bytes,
-                        fallback_requests=n_lost,
-                        fallback_bytes=n_lost * page_bytes,
-                        replica_redirects=n_replica,
-                        parity_reconstructs=n_reconstruct,
-                        reconstruct_reads=n_reconstruct + extra_reads,
-                    )
-                )
-        else:
-            for entry in group:
-                counters = self._serve_entry_verified(
-                    entry, group_start_s, array
-                )
-                integrity_rereads += counters.integrity_rereads
-                verified_bytes += counters.verified_pages * page_bytes
-                per_entry.append(counters)
+        per_entry = [self._serve_entry(entry, group_start_s) for entry in group]
+        integrity_rereads = sum(c.integrity_rereads for c in per_entry)
+        verified_bytes = page_bytes * sum(c.verified_pages for c in per_entry)
 
         total_storage_pages = sum(c.storage_requests for c in per_entry)
         total_cpu_bytes = sum(c.cpu_buffer_bytes for c in per_entry)
@@ -671,25 +530,28 @@ class GIDSDataLoader:
             tracer.clock_s = self._sim_now_s
         return metrics
 
-    def _serve_entry_verified(
-        self, entry, now_s: float, array
-    ) -> TransferCounters:
-        """Serve one iteration's pages with the integrity layer engaged.
+    def _serve_entry(self, entry, now_s: float) -> TransferCounters:
+        """Serve one iteration's pages and count where each one came from.
 
-        The healthy-path arithmetic (hits, misses, lost pages, byte
-        counts) is identical to the fast path in :meth:`_aggregate_group`;
-        on top of it, quarantined pages skip cache and storage entirely
-        (served from the fallback tier), every storage-served page runs
-        through the fault injector's corruption draw and the configured
-        verify mode, and pages condemned this round are invalidated from
-        the GPU cache so unverified bytes are never admitted.
+        Hot nodes were redirected to the CPU buffer at sampling time; the
+        remaining pages are looked up in the GPU cache, and the misses go
+        to storage.  Under fault injection, misses homed on an unavailable
+        device redirect to a surviving replica or reconstruct from parity
+        when storage HA is on, and fall back to the CPU mirror otherwise.
+
+        With the integrity layer engaged, quarantined pages also skip
+        cache and storage entirely (served from the fallback tier), every
+        storage-served page runs through the fault injector's corruption
+        draw and the configured verify mode, and pages condemned this round
+        are invalidated from the GPU cache so unverified bytes are never
+        admitted.
         """
         page_bytes = self.layout.page_bytes
         feature_bytes = self.store.feature_bytes
         n_buffer_nodes, _ = entry.payload
         pages = entry.pages
         n_quarantine = 0
-        if self.ledger.num_quarantined:
+        if self.verifier is not None and self.ledger.num_quarantined:
             qmask = self.ledger.quarantined_mask(pages)
             if qmask.any():
                 n_quarantine = int(qmask.sum())
@@ -705,10 +567,11 @@ class GIDSDataLoader:
         n_replica = n_reconstruct = extra_reads = 0
         if self.faults is not None and len(miss_pages):
             if self.storage_ha is not None:
-                # Redirect unavailable pages to a surviving copy (or
-                # reconstruct from parity); the redirected pages still run
+                # Redundant layout: unavailable pages redirect to a
+                # surviving copy (or reconstruct from parity) and still run
                 # the corruption draw and verifier below — replicas get
-                # verified exactly like primary reads.
+                # verified exactly like primary reads.  Only pages with no
+                # live copy fall back.
                 route = self.storage_ha.route(miss_pages)
                 n_lost = route.n_lost
                 n_replica = route.n_replica
@@ -717,11 +580,30 @@ class GIDSDataLoader:
                 if n_lost:
                     miss_pages = miss_pages[~route.lost_mask]
             else:
+                # Pages homed on a dropped-out (or recovered but not yet
+                # rebuilt) device are known-unavailable: they skip storage
+                # and fall back to the feature-store path.
                 lost = self.fault_array.unavailable_page_mask(miss_pages)
                 if lost.any():
                     n_lost = int(lost.sum())
                     miss_pages = miss_pages[~lost]
         n_storage = len(miss_pages)
+        n_fallback = n_lost + n_quarantine
+        counters = TransferCounters(
+            storage_requests=n_storage,
+            storage_bytes=(n_storage + extra_reads) * page_bytes,
+            cpu_buffer_requests=n_buffer_nodes,
+            cpu_buffer_bytes=n_buffer_nodes * feature_bytes,
+            gpu_cache_hits=n_hits,
+            gpu_cache_bytes=n_hits * page_bytes,
+            fallback_requests=n_fallback,
+            fallback_bytes=n_fallback * page_bytes,
+            replica_redirects=n_replica,
+            parity_reconstructs=n_reconstruct,
+            reconstruct_reads=n_reconstruct + extra_reads,
+        )
+        if self.verifier is None:
+            return counters
 
         origins = None
         if (
@@ -742,28 +624,17 @@ class GIDSDataLoader:
             # Condemned pages must not stay resident; their good bytes
             # come over the CPU path, not from storage.
             self.cache.invalidate(outcome.quarantined_pages)
+            counters.storage_bytes -= q_now * page_bytes
+            counters.fallback_requests += q_now
+            counters.fallback_bytes += q_now * page_bytes
         self._pending_corrupt.append(outcome.undetected_pages)
-
-        n_fallback = n_lost + n_quarantine + q_now
-        return TransferCounters(
-            storage_requests=n_storage,
-            storage_bytes=(n_storage - q_now + extra_reads) * page_bytes,
-            cpu_buffer_requests=n_buffer_nodes,
-            cpu_buffer_bytes=n_buffer_nodes * feature_bytes,
-            gpu_cache_hits=n_hits,
-            gpu_cache_bytes=n_hits * page_bytes,
-            fallback_requests=n_fallback,
-            fallback_bytes=n_fallback * page_bytes,
-            replica_redirects=n_replica,
-            parity_reconstructs=n_reconstruct,
-            reconstruct_reads=n_reconstruct + extra_reads,
-            verified_pages=outcome.verified,
-            unverified_pages=outcome.unverified,
-            corrupt_detected=outcome.detected,
-            corrupt_repaired=outcome.repaired,
-            corrupt_quarantined=q_now,
-            integrity_rereads=outcome.rereads,
-        )
+        counters.verified_pages = outcome.verified
+        counters.unverified_pages = outcome.unverified
+        counters.corrupt_detected = outcome.detected
+        counters.corrupt_repaired = outcome.repaired
+        counters.corrupt_quarantined = q_now
+        counters.integrity_rereads = outcome.rereads
+        return counters
 
     def _trace_group_resources(
         self,

@@ -23,39 +23,9 @@ import numpy as np
 from ..config import LoaderConfig, SSDSpec, SystemConfig
 from ..errors import ConfigError
 from ..graph.datasets import ScaledDataset
+from ..hashing import rendezvous_weights
 from ..pipeline.metrics import RunReport
 from .gids import GIDSDataLoader
-
-
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer: a high-quality stateless 64-bit mix."""
-    x = (x + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-    x = ((x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & np.uint64(
-        0xFFFFFFFFFFFFFFFF
-    )
-    x = ((x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & np.uint64(
-        0xFFFFFFFFFFFFFFFF
-    )
-    return x ^ (x >> np.uint64(31))
-
-
-def _rendezvous_weights(
-    train_ids: np.ndarray, num_shards: int, seed: int
-) -> np.ndarray:
-    """Highest-random-weight matrix: ``weights[i, s]`` for id ``i``, shard ``s``.
-
-    Each entry is a pure hash of ``(seed, id, shard)`` — independent of
-    ``num_shards`` — so adding a shard adds a *column* without perturbing
-    any existing entry.  That is the property consistent (rendezvous)
-    hashing is built on.
-    """
-    ids = _splitmix64(
-        train_ids.astype(np.uint64) ^ np.uint64(seed * 0x9E3779B9 + 1)
-    )
-    shards = _splitmix64(
-        np.arange(num_shards, dtype=np.uint64) + np.uint64(seed) * np.uint64(7919)
-    )
-    return _splitmix64(ids[:, None] ^ shards[None, :])
 
 
 def shard_train_ids(
@@ -90,7 +60,7 @@ def shard_train_ids(
         raise ConfigError("fewer labeled nodes than shards")
 
     n = len(train_ids)
-    weights = _rendezvous_weights(train_ids, num_shards, seed)
+    weights = rendezvous_weights(train_ids, num_shards, seed)
     assignment = np.argmax(weights, axis=1)
 
     # Largest-remainder capacities: every shard gets n // k, and the r

@@ -26,25 +26,14 @@ import heapq
 
 import numpy as np
 
-from ..cache.cpu_buffer import ConstantCPUBuffer
-from ..cache.gpu_cache import GPUSoftwareCache
 from ..config import LoaderConfig, SystemConfig
 from ..errors import CheckpointError, ServingError
-from ..faults import (
-    FaultInjector,
-    FaultPlan,
-    FaultySSDArray,
-    RetryPolicy,
-)
+from ..faults import FaultPlan, RetryPolicy
 from ..graph.datasets import ScaledDataset
 from ..graph.pagerank import hot_node_ranking
 from ..sampling.neighbor import NeighborSampler
 from ..sim.counters import TransferCounters
-from ..sim.gpu import GPUModel
-from ..sim.pcie import PCIeLink
-from ..sim.ssd import SSDArray
-from ..storage.feature_store import FeatureStore
-from ..storage_ha import StorageHA
+from ..storage.stack import StorageStack
 from ..telemetry import Tracer
 from ..telemetry.metrics import Histogram, MetricsRegistry
 from ..utils import as_rng
@@ -72,7 +61,7 @@ _VERDICT_FIELDS = {
 }
 
 
-class InferenceServer:
+class InferenceServer(StorageStack):
     """Online inference over the shared storage stack, in modeled time.
 
     Args:
@@ -135,46 +124,15 @@ class InferenceServer:
         self.tracer = tracer
         self._rng = as_rng(seed)
 
-        # --- shared storage stack (mirrors GIDSDataLoader) -------------
-        self.store = FeatureStore(dataset.num_nodes, dataset.feature_dim)
-        self.layout = self.store.layout
-        self.ssd = SSDArray(system.ssd, system.num_ssds)
-        self.pcie = PCIeLink(system.pcie)
-        self.gpu = GPUModel(system.gpu)
-
-        self.fault_plan = fault_plan
-        self.faults: FaultInjector | None = None
-        self.fault_array: FaultySSDArray | None = None
-        if fault_plan is not None and not fault_plan.is_null():
-            self.faults = FaultInjector(fault_plan, retry_policy)
-            self.fault_array = FaultySSDArray(self.ssd, self.faults)
-            if fault_plan.pcie_degradation_factor > 1.0:
-                self.pcie = PCIeLink(
-                    system.pcie,
-                    degradation_factor=fault_plan.pcie_degradation_factor,
-                )
-
-        # Storage HA: same pay-for-what-you-use gating as the loader.
-        self.storage_ha: StorageHA | None = None
-        if replication > 1 or parity or rebuild_iops > 0:
-            self.storage_ha = StorageHA(
-                num_devices=system.num_ssds,
-                base_latency_s=system.ssd.read_latency_s,
-                replication=replication,
-                parity=parity,
-                rebuild_iops=rebuild_iops,
-                total_pages=self.store.layout.total_pages,
-                fault_array=self.fault_array,
-                tracer=tracer,
-            )
-
-        cache_lines = int(
-            self.config.gpu_cache_bytes // self.layout.page_bytes
+        self._build_storage(
+            rank=hot_node_ranking,
+            hot_nodes=hot_nodes,
+            fault_plan=fault_plan,
+            retry_policy=retry_policy,
+            replication=replication,
+            parity=parity,
+            rebuild_iops=rebuild_iops,
         )
-        self._cache_rng = self._rng.spawn(1)[0]
-        self.cache = GPUSoftwareCache(cache_lines, seed=self._cache_rng)
-        self.cache.tracer = tracer
-        self.cpu_buffer = self._build_cpu_buffer(hot_nodes)
 
         # One sampler per brownout level (scaled fanouts), sharing the
         # sampling RNG: the level sequence is deterministic, so the draw
@@ -241,34 +199,6 @@ class InferenceServer:
 
     def _scaled(self, scale: float) -> tuple[int, ...]:
         return tuple(max(1, int(round(f * scale))) for f in self.fanouts)
-
-    def _build_cpu_buffer(
-        self, hot_nodes: np.ndarray | None
-    ) -> ConstantCPUBuffer | None:
-        fraction = self.config.cpu_buffer_fraction
-        if fraction <= 0:
-            return None
-        if hot_nodes is None:
-            seed_weights = None
-            if self.config.hot_node_metric == "reverse_pagerank":
-                # Same teleport weighting as the training loader, so both
-                # pin the identical hot set.
-                seed_weights = np.zeros(self.dataset.num_nodes)
-                seed_weights[self.dataset.train_ids] = 1.0
-                if seed_weights.sum() == 0:
-                    seed_weights = None
-            hot_nodes = hot_node_ranking(
-                self.dataset.graph,
-                self.config.hot_node_metric,
-                seed_weights=seed_weights,
-                rng=self._rng,
-            )
-        return ConstantCPUBuffer(
-            num_nodes=self.dataset.num_nodes,
-            feature_bytes=self.store.feature_bytes,
-            capacity_bytes=fraction * self.dataset.feature_data_bytes,
-            hot_nodes=np.asarray(hot_nodes, dtype=np.int64),
-        )
 
     # ------------------------------------------------------------------
     # Event loop

@@ -21,22 +21,8 @@ import numpy as np
 
 from ..config import PAGE_BYTES
 from ..errors import StorageError
+from ..hashing import splitmix64
 from .layout import PageLayout
-
-_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_2 = np.uint64(0x94D049BB133111EB)
-
-
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer over uint64 input."""
-    x = (x + _SPLITMIX_GAMMA).astype(np.uint64)
-    x ^= x >> np.uint64(30)
-    x *= _MIX_1
-    x ^= x >> np.uint64(27)
-    x *= _MIX_2
-    x ^= x >> np.uint64(31)
-    return x
 
 
 class FeatureStore:
@@ -148,7 +134,7 @@ class FeatureStore:
         base = node_ids.astype(np.uint64)[:, None] * np.uint64(
             self.feature_dim
         )
-        mixed = _splitmix64(base + cols + self._seed)
+        mixed = splitmix64(base + cols + self._seed)
         # Top 24 bits -> uniform float32 in [0, 1), then center on zero.
         unit = (mixed >> np.uint64(40)).astype(np.float32) / np.float32(
             1 << 24

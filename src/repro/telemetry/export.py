@@ -36,9 +36,13 @@ def _track_order(tracks) -> list[str]:
 
 def to_chrome_trace(tracer: Tracer) -> dict:
     """Convert a tracer's recording into a Chrome trace-event document."""
+    # A dict, not a set: unknown tracks keep their first-seen order
+    # instead of the process's string-hash order.
     tracks = _track_order(
-        {s.track for s in tracer.spans}
-        | {i.track for i in tracer.instants}
+        dict.fromkeys(
+            [s.track for s in tracer.spans]
+            + [i.track for i in tracer.instants]
+        )
     )
     tids = {track: index for index, track in enumerate(tracks)}
     events: list[dict] = [

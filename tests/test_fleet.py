@@ -8,6 +8,10 @@ uninterrupted run bit for bit.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,6 +198,29 @@ class TestHealthyEpoch:
         trainer.run_epoch()
         tracks = {span.track for span in tracer.spans}
         assert any(t.startswith("fleet.gpu") for t in tracks)
+
+    def test_trace_lanes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        """Two processes with different string-hash seeds write
+        byte-identical fleet traces (per-worker lanes in first-seen
+        order, not set order)."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        traces = []
+        for hash_seed in ("1", "7"):
+            out = tmp_path / f"trace-{hash_seed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            )
+            subprocess.run(
+                [
+                    sys.executable, "-m", "repro", "fleet", "--scale",
+                    "0.05", "--gpus", "2", "--batch-size", "16",
+                    "--trace", str(out),
+                ],
+                check=True, capture_output=True, env=env,
+            )
+            traces.append(out.read_bytes())
+        assert traces[0] == traces[1]
 
 
 class TestPeerCacheTier:
@@ -546,7 +573,7 @@ class TestFleetCLI:
         out = capsys.readouterr().out
         assert "gpu:0" in out and "gpu:1" in out
 
-    def test_fleet_json_export_is_schema_v8(self, tmp_path, capsys):
+    def test_fleet_json_export_has_current_schema(self, tmp_path, capsys):
         from repro.cli import main
 
         out_path = tmp_path / "fleet.json"

@@ -582,7 +582,7 @@ class TestExport:
         )
         return trainer, result, summary
 
-    def test_schema_v9_with_fullgraph_block(self, exported):
+    def test_current_schema_with_fullgraph_block(self, exported):
         _, result, summary = exported
         assert EXPORT_SCHEMA_VERSION == 11
         assert summary["schema_version"] == 11

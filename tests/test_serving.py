@@ -519,7 +519,7 @@ class TestServerEndToEnd:
         with pytest.raises(ServingError):
             make_server().serve(-1)
 
-    def test_export_is_valid_schema_v7(self):
+    def test_export_is_a_valid_summary(self):
         tracer = Tracer(enabled=True)
         server = make_server(tracer=tracer)
         server.serve(150)

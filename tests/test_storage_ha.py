@@ -834,3 +834,21 @@ class TestStorageHACLI:
             "faults", "validate", path, "--num-ssds", "2",
         ]) == 0
         assert "plan is valid" in capsys.readouterr().out
+
+    def test_supervised_run_exports_the_ha_block(self, tmp_path, capsys):
+        base = [
+            "run", "--dataset", "IGB-tiny", "--scale", "0.02",
+            "--loader", "gids", "--num-ssds", "2", "--replication", "2",
+            "--iterations", "6", "--format", "json",
+        ]
+        assert main(base) == 0
+        (plain,) = json.loads(capsys.readouterr().out)
+        assert main(
+            base + ["--checkpoint-dir", str(tmp_path / "ckpt")]
+        ) == 0
+        supervised = json.loads(capsys.readouterr().out)
+        assert supervised["checkpoint_summary"] is not None
+        block = supervised["storage_ha"]
+        assert block is not None
+        assert block["mode"] == plain["storage_ha"]["mode"] == "replication"
+        assert block["replication_factor"] == 2
